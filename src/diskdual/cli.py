@@ -250,13 +250,13 @@ def run(argv) -> int:
         return 1
     try:
         doc, code = args.handler(args)
+        text = formats.canonical_json(doc)
     except NumericsError as exc:
         print(f"numerical validity error: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    text = formats.canonical_json(doc)
     sys.stdout.write(text)
     if args.out is not None:
         try:
@@ -270,3 +270,7 @@ def run(argv) -> int:
 
 def main(argv=None) -> None:
     sys.exit(run(sys.argv[1:] if argv is None else argv))
+
+
+if __name__ == "__main__":
+    main()

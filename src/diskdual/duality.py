@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidFamilyError, TruncationError
 from .growth import classify_decay
 from .hardy import ExteriorFunction, InteriorFunction, hardy_projections, trace_exterior, trace_interior
-from .spectral import BoundaryDistribution, koethe_pairing, sobolev_norm
+from .spectral import BoundaryDistribution, _require_finite, koethe_pairing, sobolev_norm
 
 __all__ = [
     "DualFunctional",
@@ -46,6 +46,17 @@ __all__ = [
 
 RATIO_SLACK = 1e-12
 TAIL_RELATIVE_BOUND = 1e-10
+# Moment probing materializes the identity probe matrix one row block at a
+# time; a block stays within this many bytes, so a large probe degree does
+# not raise peak memory.
+PROBE_BLOCK_BYTES = 1 << 20
+# Rounding bounds of the duality suite scale with the magnitudes involved:
+# the surjectivity error with the largest sum_n |a_n b_{n+1}| of a trial, the
+# brute-force deviation with the largest closed-form norm of the run.  The
+# dual norm grows like N^(1/2 - s), so a fixed bound fails falsely at s << 0.
+# Each bound is the larger of its floor and its relative term.
+SURJECTIVITY_BOUND_FLOOR, SURJECTIVITY_RELATIVE_BOUND = 1e-12, 1e-14
+BRUTEFORCE_BOUND_FLOOR, BRUTEFORCE_RELATIVE_BOUND = 1e-6, 1e-12
 SCALE_DIRECTIONS = ("interior-finite-order", "exterior-finite-order")
 
 
@@ -60,6 +71,25 @@ class DualFunctional:
         if isinstance(self.s, float) and not self.s.is_integer():
             raise ValueError("domain index of a dual functional must be an integer")
         object.__setattr__(self, "s", int(self.s))
+
+    def __call__(self, u: InteriorFunction):
+        """F(u) as a black-box oracle; a probe block is answered for all its rows at once."""
+        if isinstance(u, _ProbeBlock):
+            # Identity rows hold a single 1, so the BLAS product is exact.
+            k = min(u.rows.shape[1], self.v.coeffs.size)
+            return u.rows[:, :k] @ self.v.coeffs[:k]
+        return apply_functional(self, u)
+
+
+@dataclass(frozen=True, eq=False)
+class _ProbeBlock(InteriorFunction):
+    """The monomial z^n that opens a block of identity probe rows, with the rows attached.
+
+    To a scalar oracle it is the trimmed monomial z^n; a :class:`DualFunctional`
+    answers every row of ``rows`` (z^n, z^(n+1), ...) in one array operation.
+    """
+
+    rows: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -110,14 +140,19 @@ def functional_from_exterior(v: ExteriorFunction, s: int) -> DualFunctional:
     return DualFunctional(v, s)
 
 
+def _pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_n a[r, n] b_{n+1} for every row r of a 2-D coefficient block.
+
+    Each row is reduced along the contiguous axis, so a row's value is
+    bit-identical whatever block it sits in.
+    """
+    k = min(a.shape[1], b.size)
+    return np.sum(a[:, :k] * b[:k], axis=1)
+
+
 def apply_functional(functional: DualFunctional, u: InteriorFunction) -> complex:
     """Evaluate the functional: sum_{n >= 0} a_n b_{n+1} (linear in u)."""
-    a = u.coeffs
-    b = functional.v.coeffs
-    size = min(a.size, b.size)
-    if size == 0:
-        return 0j
-    return complex(np.sum(a[:size] * b[:size]))
+    return complex(_pair_rows(u.coeffs[None, :], functional.v.coeffs)[0])
 
 
 def represent_functional(w: BoundaryDistribution, s: int) -> ExteriorFunction:
@@ -162,7 +197,9 @@ def functional_norm_bruteforce(
 
     Probes are ``iterations`` random coefficient draws of degree < degree_cap
     plus the analytic maximizer a_n = conj(b_{n+1}) (1 + n^2)^(1/2 - s), which
-    attains the closed-form norm exactly.
+    attains the closed-form norm exactly.  All probes are evaluated as one
+    block; each ratio is bit-identical to the one-probe computation with
+    :func:`apply_functional` and :func:`~diskdual.spectral.sobolev_norm`.
     """
     if iterations < 1:
         raise ValueError("need at least one probe iteration")
@@ -172,18 +209,22 @@ def functional_norm_bruteforce(
             f"probe degree cap {degree_cap} cannot see the representative's support {support}"
         )
     rng = np.random.default_rng(seed)
-    probes = [_maximizer_coeffs(functional, degree_cap)]
-    for _ in range(iterations):
-        probes.append(
-            rng.standard_normal(degree_cap) + 1j * rng.standard_normal(degree_cap)
-        )
+    # (iterations, 2, cap) consumes the stream in the order of one real and
+    # one imaginary draw per probe.
+    draws = rng.standard_normal((iterations, 2, degree_cap))
+    probes = np.empty((iterations + 1, degree_cap), dtype=complex)
+    probes[0] = _maximizer_coeffs(functional, degree_cap)
+    probes[1:] = draws[:, 0] + 1j * draws[:, 1]
+    _require_finite(probes, "probe coefficients")
+    n = np.arange(degree_cap, dtype=float)
+    weights = (1.0 + n * n) ** (functional.s - 0.5)
+    denoms = np.sqrt(np.sum(weights * np.abs(probes) ** 2, axis=1))
+    values = _pair_rows(probes, functional.v.coeffs)
     best = 0.0
-    for coeffs in probes:
-        u = InteriorFunction(coeffs, functional.s)
-        denom = sobolev_norm(trace_interior(u), functional.s - 0.5)
-        if denom == 0.0:
-            continue
-        best = max(best, abs(apply_functional(functional, u)) / denom)
+    # Python's abs of a complex, not np.abs: the two can differ in the last bit.
+    for value, denom in zip(values.tolist(), denoms.tolist()):
+        if denom != 0.0:
+            best = max(best, abs(value) / denom)
     return best
 
 
@@ -195,14 +236,28 @@ def reconstruct_exterior_from_blackbox(
     b_{n+1} = evaluate(z^n) for n = 0 .. degree_cap - 1.  Exact whenever the
     oracle is the pairing against an exterior function supported within
     degree_cap; in particular the zero oracle returns the zero function.
+
+    The probes are the rows of the identity matrix, walked in row blocks of
+    at most ``PROBE_BLOCK_BYTES``.  The oracle first receives the block's
+    opening monomial; a :class:`DualFunctional` answers the whole block with
+    one array operation, while any other oracle returns a scalar and then
+    receives the block's remaining monomials one at a time.  Every monomial
+    z^n is trimmed to its n + 1 coefficients.
     """
     if degree_cap < 1:
         raise ValueError("need a positive probe degree")
     b = np.empty(degree_cap, dtype=complex)
-    for n in range(degree_cap):
-        monomial = np.zeros(n + 1, dtype=complex)
-        monomial[n] = 1.0
-        b[n] = complex(evaluate(InteriorFunction(monomial, s)))
+    rows = max(1, PROBE_BLOCK_BYTES // (16 * degree_cap))
+    for start in range(0, degree_cap, rows):
+        stop = min(start + rows, degree_cap)
+        block = np.eye(stop - start, stop, k=start, dtype=complex)
+        values = evaluate(_ProbeBlock(block[0, : start + 1], s, rows=block))
+        if np.ndim(values) == 1:
+            b[start:stop] = values
+            continue
+        b[start] = complex(values)
+        for n in range(start + 1, stop):
+            b[n] = complex(evaluate(InteriorFunction(block[n - start, : n + 1], s)))
     return ExteriorFunction(b, 1 - int(s))
 
 
@@ -342,14 +397,14 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
     ratio_max = 0.0
     continuity = 0.0
     bf_dev = 0.0
+    norm_max = 0.0
+    sur_terms_max = 0.0
     for child in children:
         rng = np.random.default_rng(child)
         v = _random_exterior(rng, degree_cap, s)
         functional = functional_from_exterior(v, s)
 
-        recovered = reconstruct_exterior_from_blackbox(
-            lambda u: apply_functional(functional, u), degree_cap, s
-        )
+        recovered = reconstruct_exterior_from_blackbox(functional, degree_cap, s)
         inj_err = max(inj_err, float(np.max(np.abs(recovered.coeffs - v.coeffs))))
 
         w = _random_boundary(rng, degree_cap)
@@ -358,6 +413,8 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
         raw = koethe_pairing(trace_interior(probe), w)
         through = apply_functional(functional_from_exterior(rep, s), probe)
         sur_err = max(sur_err, abs(through - raw))
+        k = min(probe.coeffs.size, rep.coeffs.size)
+        sur_terms_max = max(sur_terms_max, float(np.sum(np.abs(probe.coeffs[:k] * rep.coeffs[:k]))))
 
         ratio = dual_norm_trace_ratio(v, s)
         if ratio is None:
@@ -367,6 +424,7 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
             ratio_max = max(ratio_max, ratio)
 
         norm = functional_norm_closed_form(functional)
+        norm_max = max(norm_max, norm)
         denom = norm * sobolev_norm(trace_interior(probe), s - 0.5)
         if denom > 0:
             continuity = max(continuity, abs(apply_functional(functional, probe)) / denom)
@@ -376,15 +434,17 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
         )
         bf_dev = max(bf_dev, abs(bf - norm))
 
+    sur_bound = max(SURJECTIVITY_BOUND_FLOOR, SURJECTIVITY_RELATIVE_BOUND * sur_terms_max)
+    bf_bound = max(BRUTEFORCE_BOUND_FLOOR, BRUTEFORCE_RELATIVE_BOUND * norm_max)
     checks = (
         CheckResult("injectivity roundtrip max coefficient error", inj_err, 1e-13, inj_err <= 1e-13),
-        CheckResult("surjectivity identity max error", sur_err, 1e-12, sur_err <= 1e-12),
+        CheckResult("surjectivity identity max error", sur_err, sur_bound, sur_err <= sur_bound),
         CheckResult("dual-norm ratio lower bound", float(ratio_min), lower,
                      ratio_min >= lower - RATIO_SLACK),
         CheckResult("dual-norm ratio upper bound", float(ratio_max), upper,
                      ratio_max <= upper + RATIO_SLACK),
         CheckResult("continuity constant", continuity, 1.0, continuity <= 1.0 + RATIO_SLACK),
-        CheckResult("bruteforce vs closed-form norm", bf_dev, 1e-6, bf_dev <= 1e-6),
+        CheckResult("bruteforce vs closed-form norm", bf_dev, bf_bound, bf_dev <= bf_bound),
         CheckResult("degenerate representatives skipped", float(degenerate_skipped), 1.0,
                      degenerate_skipped == 1),
     )

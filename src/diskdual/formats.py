@@ -31,7 +31,6 @@ __all__ = [
     "read_coefficient_file",
     "write_coefficient_file",
     "canonical_json",
-    "write_report",
 ]
 
 CoefficientObject = BoundaryDistribution | InteriorFunction | ExteriorFunction
@@ -104,8 +103,14 @@ def doc_to_coefficients(doc: dict) -> CoefficientObject:
 
 
 def canonical_json(doc: dict) -> str:
-    """Deterministic JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Deterministic JSON text: sorted keys, two-space indent, trailing newline.
+
+    A non-finite number in the document raises :class:`InvalidDataError`.
+    """
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InvalidDataError(f"document holds a non-finite number: {exc}") from exc
 
 
 def read_coefficient_file(path) -> CoefficientObject:
@@ -117,7 +122,3 @@ def write_coefficient_file(path, obj: CoefficientObject) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(canonical_json(coefficients_to_doc(obj)))
 
-
-def write_report(path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(doc))

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, TruncationError
-from .hardy import InteriorFunction, evaluate_interior, trace_interior
-from .spectral import sobolev_norm
+from .errors import DegenerateInputError, InvalidDataError, TruncationError
+from .hardy import InteriorFunction, evaluate_interior
 
 __all__ = [
     "GrowthFamilySpec",
@@ -34,6 +33,7 @@ __all__ = [
 _BLOCK_FIRST = 3          # first dyadic block is [8, 16)
 _BLOCK_DELTA = 0.05       # convergent iff late block ratios stay below 1 - delta
 _FIT_RESIDUAL_MAX = 0.25  # log-log tail regression quality gate
+_SQUARE_MAX = math.sqrt(np.finfo(float).max)  # largest magnitude whose square is finite
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,8 @@ def estimate_min_sobolev(u: InteriorFunction, s_grid) -> ScaleEstimate:
     A level passes when the late dyadic block sums of
     (1 + n^2)^(s - 1/2) |a_n|^2 shrink by at least delta = 0.05 per block.
     Log-divergent edges therefore fail, and tails too irregular for a stable
-    log-log fit come back ``inconclusive`` instead of a guess.
+    log-log fit come back ``inconclusive`` instead of a guess.  Coefficients
+    whose squares overflow raise :class:`InvalidDataError`.
     """
     a = u.coeffs
     if a.size < 64:
@@ -163,6 +164,11 @@ def estimate_min_sobolev(u: InteriorFunction, s_grid) -> ScaleEstimate:
     if not grid:
         raise ValueError("empty Sobolev grid")
     mags = np.abs(a)
+    if mags.max() > _SQUARE_MAX:
+        raise InvalidDataError(
+            f"coefficient magnitudes up to {mags.max():.3g} overflow when squared; "
+            f"scale placement needs |a_n| <= {_SQUARE_MAX:.3g}"
+        )
     mags_sq = mags * mags
     passing = [s for s in grid if _converges_at(mags_sq, s)]
     if len(passing) == len(grid):
@@ -232,6 +238,26 @@ def classify_decay(coeffs) -> str:
     return "neither"
 
 
+def _norm_curve(a: np.ndarray, grid) -> tuple[tuple[int, float], ...]:
+    """Trace norms of index s - 1/2 for each s on the grid.
+
+    The magnitudes are scaled by a power of two before squaring, so the sums
+    cannot overflow and each value is bit-identical to
+    sobolev_norm(trace_interior(u), s - 0.5) wherever that is finite.
+    """
+    mags = np.abs(a)
+    exponent = int(np.frexp(mags.max())[1])
+    scaled_sq = np.ldexp(mags, -exponent) ** 2
+    n = np.arange(mags.size, dtype=float)
+    curve = []
+    for s in grid:
+        value = float(np.ldexp(np.sqrt(np.sum((1.0 + n * n) ** (s - 0.5) * scaled_sq)), exponent))
+        if not math.isfinite(value):
+            raise InvalidDataError(f"trace norm of index {s - 0.5} exceeds the float range")
+        curve.append((s, value))
+    return tuple(curve)
+
+
 def build_growth_report(spec: GrowthFamilySpec, s_grid, radii=None) -> GrowthReport:
     """Generate the family, fit its growth, and place it on the integer scale."""
     if radii is None:
@@ -239,8 +265,7 @@ def build_growth_report(spec: GrowthFamilySpec, s_grid, radii=None) -> GrowthRep
     u = growth_family_coeffs(spec)
     fit = pointwise_growth_exponent(u, spec.z0, radii)
     estimate = estimate_min_sobolev(u, s_grid)
-    trace = trace_interior(u)
-    curve = tuple((int(s), sobolev_norm(trace, s - 0.5)) for s in sorted({int(s) for s in s_grid}))
+    curve = _norm_curve(u.coeffs, sorted({int(s) for s in s_grid}))
     return GrowthReport(
         gamma_fitted=fit.gamma_fitted,
         c_fitted=fit.c_fitted,

@@ -2,7 +2,12 @@
 
 import io
 import json
-from contextlib import redirect_stdout
+import os
+import subprocess
+import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,3 +176,29 @@ def test_stdout_carries_only_the_report(u_file):
     assert code == 0
     json.loads(out)  # a single JSON document, nothing else
     assert out.endswith("\n")
+
+
+def test_growth_overflow_is_a_numerical_validity_error():
+    # |a_n| reaches 6.8e278 at gamma = 150, N = 4096, so |a_n|^2 overflows
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["growth", "--gamma", "150", "--N", "4096"])
+    assert code == 3
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical validity error:")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "diskdual.cli", "verify", "--suite", "duality", "--s", "0",
+         "--trials", "4", "--N", "32", "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True

@@ -1,7 +1,14 @@
 """Dual functionals: representation, norms, reconstruction, verification suites."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from diskdual import duality
 
 from diskdual import (
     BoundaryDistribution,
@@ -202,6 +209,21 @@ def test_reconstruct_zero_oracle():
     assert not np.any(v.coeffs)
 
 
+def test_scalar_oracle_receives_trimmed_monomials():
+    seen = []
+
+    def oracle(u):
+        seen.append((type(u), u.coeffs.copy(), u.index))
+        return complex(len(seen))
+
+    with mock.patch.object(duality, "PROBE_BLOCK_BYTES", 16 * 7 * 3):
+        v = reconstruct_exterior_from_blackbox(oracle, 7, s=2)   # blocks of 3, 3 and 1 rows
+    np.testing.assert_array_equal(v.coeffs, np.arange(1, 8))
+    for n, (kind, coeffs, index) in enumerate(seen):
+        assert issubclass(kind, InteriorFunction) and index == 2.0
+        np.testing.assert_array_equal(coeffs, np.eye(n + 1)[n])
+
+
 def test_reconstruct_round_trip_random():
     rng = np.random.default_rng(16)
     for _ in range(10):
@@ -218,6 +240,18 @@ def test_duality_suite_passes_across_scales():
     for s in (-2, 0, 3):
         report = verify_duality_isomorphism(s, trials=25, degree_cap=16, seed=7)
         assert report.passed, report.to_doc()
+
+
+@pytest.mark.parametrize("n", [32, 256, 1024])
+def test_duality_suite_bounds_scale_with_the_norm(n):
+    # the dual norm grows like N^(1/2 - s); an absolute 1e-6 failed at s = -6, N = 32
+    for s in range(-6, 7):
+        report = verify_duality_isomorphism(s, trials=2, degree_cap=n, seed=11)
+        assert report.passed, report.to_doc()
+        if (s, n) == (0, 32):
+            bounds = {c.name: c.bound for c in report.checks}
+            assert bounds["bruteforce vs closed-form norm"] <= 1e-6
+            assert bounds["surjectivity identity max error"] <= 1e-12
 
 
 def test_duality_suite_flags_the_degenerate_probe():
@@ -295,3 +329,81 @@ def test_trace_ratio_uses_half_shifted_norm():
     closed = functional_norm_closed_form(functional_from_exterior(v, s))
     denom = sobolev_norm(trace_exterior(v), 0.5 - s)
     assert dual_norm_trace_ratio(v, s) == pytest.approx(closed / denom, rel=1e-14)
+
+
+# ---------------------------------------------------------------- batched probing
+
+_finite = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False, allow_infinity=False)
+_coeff = st.builds(complex, _finite, _finite)
+
+
+def _coeff_vectors(min_size, max_size):
+    return st.integers(min_size, max_size).flatmap(
+        lambda k: arrays(np.complex128, k, elements=_coeff)
+    )
+
+
+def _bruteforce_reference(functional, degree_cap, iterations, seed):
+    """The one-probe-at-a-time brute-force norm that the batched version replaced."""
+    rng = np.random.default_rng(seed)
+    probes = [duality._maximizer_coeffs(functional, degree_cap)]
+    for _ in range(iterations):
+        probes.append(rng.standard_normal(degree_cap) + 1j * rng.standard_normal(degree_cap))
+    best = 0.0
+    for coeffs in probes:
+        u = InteriorFunction(coeffs, functional.s)
+        denom = sobolev_norm(trace_interior(u), functional.s - 0.5)
+        if denom != 0.0:
+            best = max(best, abs(apply_functional(functional, u)) / denom)
+    return best
+
+
+@given(
+    block=st.tuples(st.integers(1, 6), st.integers(1, 40)).flatmap(
+        lambda shape: arrays(np.complex128, shape, elements=_coeff)
+    ),
+    b=_coeff_vectors(0, 40),
+)
+def test_block_kernel_equals_row_by_row_apply(block, b):
+    functional = functional_from_exterior(ExteriorFunction(b), 0)
+    rows = duality._pair_rows(block, functional.v.coeffs)
+    for row, value in zip(block, rows):
+        assert complex(value) == apply_functional(functional, InteriorFunction(row))
+
+
+@settings(deadline=None)
+@given(
+    b=_coeff_vectors(0, 24),
+    extra=st.integers(0, 40),
+    s=st.integers(-6, 6),
+    iterations=st.integers(1, 6),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_batched_bruteforce_equals_the_probe_loop(b, extra, s, iterations, seed):
+    functional = functional_from_exterior(ExteriorFunction(b), s)
+    cap = max(b.size + extra, 1)
+    assert functional_norm_bruteforce(functional, cap, iterations, seed) == \
+        _bruteforce_reference(functional, cap, iterations, seed)
+
+
+@settings(deadline=None, max_examples=40)
+@given(b=_coeff_vectors(1, 300), cap=st.integers(1, 400), block_bytes=st.integers(1, 1 << 14))
+def test_reconstruction_is_exact_for_any_cap_and_block_size(b, cap, block_bytes):
+    # cap may be below the support, and need not be a multiple of the block rows
+    functional = functional_from_exterior(ExteriorFunction(b), 0)
+    expected = np.zeros(cap, dtype=complex)
+    expected[: min(cap, b.size)] = b[:cap]
+    with mock.patch.object(duality, "PROBE_BLOCK_BYTES", block_bytes):
+        batched = reconstruct_exterior_from_blackbox(functional, cap)
+        scalar = reconstruct_exterior_from_blackbox(lambda u: apply_functional(functional, u), cap)
+    assert np.array_equal(batched.coeffs, expected)
+    assert np.array_equal(scalar.coeffs, expected)
+
+
+@settings(deadline=None)
+@given(cap=st.integers(1, 600), s=st.integers(-6, 6))
+def test_zero_oracle_reconstructs_zero(cap, s):
+    zero = functional_from_exterior(ExteriorFunction(np.zeros(0)), s)
+    for oracle in (zero, lambda u: 0j):
+        v = reconstruct_exterior_from_blackbox(oracle, cap, s)
+        assert v.coeffs.size == cap and not np.any(v.coeffs)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from diskdual import BoundaryDistribution, ExteriorFunction, InteriorFunction
+from diskdual import BoundaryDistribution, ExteriorFunction, InteriorFunction, InvalidDataError
 from diskdual.formats import (
     canonical_json,
     coefficients_to_doc,
@@ -75,6 +75,8 @@ def test_canonical_json_is_reproducible():
     assert canonical_json(doc) == canonical_json(json.loads(canonical_json(doc)))
     assert canonical_json(doc).endswith("\n")
     assert canonical_json({"a": 0.1}) == '{\n  "a": 0.1\n}\n'
+    with pytest.raises(InvalidDataError):
+        canonical_json({"norm_curve": [[3, float("inf")]]})
 
 
 def test_reals_round_trip_shortest_repr(tmp_path):
