@@ -147,6 +147,10 @@ def _pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bit-identical whatever block it sits in.
     """
     k = min(a.shape[1], b.size)
+    if a.shape[0] == 1:
+        # numpy multiplies a lone 1 x 1 complex block outside its vector loop,
+        # which rounds differently; the 1-D product takes the block's loop.
+        return np.sum(a[0, :k] * b[:k], keepdims=True)
     return np.sum(a[:, :k] * b[:k], axis=1)
 
 

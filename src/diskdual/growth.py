@@ -103,11 +103,13 @@ class GrowthReport:
 
 def growth_family_coeffs(spec: GrowthFamilySpec) -> InteriorFunction:
     """Taylor coefficients of (1 - conj(z0) z)^(-gamma), truncated at spec.degree."""
-    a = np.empty(spec.degree + 1, dtype=complex)
+    # a_n is the running product of the ratios (k + gamma) / (k + 1) conj(z0), k < n.
+    n = spec.degree
+    a = np.empty(n + 1, dtype=complex)
     a[0] = 1.0
-    zc = np.conj(spec.z0)
-    for n in range(spec.degree):
-        a[n + 1] = a[n] * (n + spec.gamma) / (n + 1) * zc
+    np.divide(np.arange(n) + spec.gamma, np.arange(1.0, n + 1.0), out=a[1:])
+    a[1:] *= np.conj(spec.z0)
+    np.cumprod(a, out=a)
     return InteriorFunction(a)
 
 
@@ -122,13 +124,34 @@ def _block_ratios(weighted: np.ndarray) -> np.ndarray:
     return np.divide(sums[1:], sums[:-1], out=np.zeros(max(len(sums) - 1, 0)), where=sums[:-1] > 0)
 
 
-def _trace_weights(size: int, s: float) -> np.ndarray:
-    n = np.arange(size, dtype=float)
-    return (1.0 + n * n) ** (s - 0.5)
+def _weighted_levels(mags_sq: np.ndarray, grid):
+    """Yield (s, (1 + n^2)^(s - 1/2) mags_sq[n]) for each level s of the grid.
+
+    Every level is written into the same buffer, so a caller must use it
+    before asking for the next level.  Levels whose largest weight exceeds
+    the float range raise :class:`InvalidDataError` before any weight is
+    computed.
+    """
+    top = float(mags_sq.size - 1)
+    for s in grid:
+        try:
+            (1.0 + top * top) ** (s - 0.5)  # the largest weight for s >= 1
+        except OverflowError:
+            raise InvalidDataError(
+                f"trace weight (1 + N^2)^(s - 1/2) at s={s}, N={top:.0f} exceeds the float range"
+            ) from None
+    base = np.arange(mags_sq.size, dtype=float)
+    base *= base
+    base += 1.0
+    weighted = np.empty_like(base)
+    for s in grid:
+        np.power(base, s - 0.5, out=weighted)
+        weighted *= mags_sq
+        yield s, weighted
 
 
-def _converges_at(mags_sq: np.ndarray, s: int) -> bool:
-    ratios = _block_ratios(_trace_weights(mags_sq.size, s) * mags_sq)
+def _converges(weighted: np.ndarray) -> bool:
+    ratios = _block_ratios(weighted)
     tail = ratios[-3:]
     return bool(np.max(tail) < 1.0 - _BLOCK_DELTA) if tail.size else False
 
@@ -153,7 +176,8 @@ def estimate_min_sobolev(u: InteriorFunction, s_grid) -> ScaleEstimate:
     (1 + n^2)^(s - 1/2) |a_n|^2 shrink by at least delta = 0.05 per block.
     Log-divergent edges therefore fail, and tails too irregular for a stable
     log-log fit come back ``inconclusive`` instead of a guess.  Coefficients
-    whose squares overflow raise :class:`InvalidDataError`.
+    whose squares overflow, and grid levels whose weights overflow, raise
+    :class:`InvalidDataError`.
     """
     a = u.coeffs
     if a.size < 64:
@@ -170,7 +194,7 @@ def estimate_min_sobolev(u: InteriorFunction, s_grid) -> ScaleEstimate:
             f"scale placement needs |a_n| <= {_SQUARE_MAX:.3g}"
         )
     mags_sq = mags * mags
-    passing = [s for s in grid if _converges_at(mags_sq, s)]
+    passing = [s for s, weighted in _weighted_levels(mags_sq, grid) if _converges(weighted)]
     if len(passing) == len(grid):
         return ScaleEstimate(max(grid), "entire-side-saturation")
     # nested-scale sanity: the passing set must be an initial segment
@@ -248,10 +272,9 @@ def _norm_curve(a: np.ndarray, grid) -> tuple[tuple[int, float], ...]:
     mags = np.abs(a)
     exponent = int(np.frexp(mags.max())[1])
     scaled_sq = np.ldexp(mags, -exponent) ** 2
-    n = np.arange(mags.size, dtype=float)
     curve = []
-    for s in grid:
-        value = float(np.ldexp(np.sqrt(np.sum((1.0 + n * n) ** (s - 0.5) * scaled_sq)), exponent))
+    for s, weighted in _weighted_levels(scaled_sq, grid):
+        value = float(np.ldexp(np.sqrt(np.sum(weighted)), exponent))
         if not math.isfinite(value):
             raise InvalidDataError(f"trace norm of index {s - 0.5} exceeds the float range")
         curve.append((s, value))

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import BoundaryProximityError, EvaluationDomainError
 from .spectral import BoundaryDistribution, _require_finite, pad_or_truncate, sobolev_norm
@@ -37,6 +36,9 @@ __all__ = [
 # accuracy.
 BOUNDARY_EVALUATION_THRESHOLD = 1e-9
 
+# Width of the power blocks in :func:`_series`.
+_SERIES_BLOCK = 1024
+
 
 def _as_coeff_array(values, what: str) -> np.ndarray:
     arr = np.array(values, dtype=complex)
@@ -45,6 +47,27 @@ def _as_coeff_array(values, what: str) -> np.ndarray:
     _require_finite(arr, what)
     arr.flags.writeable = False
     return arr
+
+
+def _series(c: np.ndarray, z: complex) -> complex:
+    """sum_n c_n z^n for non-empty c and |z| < 1, by blocked powers instead of Horner's loop.
+
+    The powers z^0 .. z^(B-1) are formed once; each block of B coefficients
+    is summed against them in one matrix-vector product, and the block sums
+    are again a series, in z^B.  Since |z| < 1 the powers can only underflow.
+    """
+    c = np.ascontiguousarray(c)
+    while c.size > 1:
+        width = min(c.size, _SERIES_BLOCK)
+        powers = np.full(width, z)
+        powers[0] = 1.0
+        np.cumprod(powers, out=powers)
+        full = c.size - c.size % width
+        sums = c[:full].reshape(-1, width) @ powers
+        if full < c.size:
+            sums = np.append(sums, c[full:] @ powers[: c.size - full])
+        c, z = sums, powers[-1] * z
+    return complex(c[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,13 +147,12 @@ def cauchy_transform(f: BoundaryDistribution, z: complex) -> complex:
     if abs(z) < 1.0:
         if f.n_max < 0:
             return 0j
-        upper = pad_or_truncate(f, 0, f.n_max).coeffs
-        return complex(npoly.polyval(z, upper))
+        return _series(pad_or_truncate(f, 0, f.n_max).coeffs, z)
     if f.n_min > -1:
         return 0j
     lower = pad_or_truncate(f, f.n_min, -1).coeffs
     w = 1.0 / z
-    return complex(-w * npoly.polyval(w, lower[::-1]))
+    return complex(-w * _series(lower[::-1], w))
 
 
 def hardy_projections(
@@ -171,7 +193,7 @@ def evaluate_interior(u: InteriorFunction, z: complex) -> complex:
     z = complex(z)
     if abs(z) >= 1.0:
         raise EvaluationDomainError(f"interior evaluation needs |z| < 1, got |z| = {abs(z)!r}")
-    return complex(npoly.polyval(z, u.coeffs))
+    return _series(u.coeffs, z)
 
 
 def evaluate_exterior(v: ExteriorFunction, z: complex) -> complex:
@@ -182,4 +204,4 @@ def evaluate_exterior(v: ExteriorFunction, z: complex) -> complex:
     if v.coeffs.size == 0:
         return 0j
     w = 1.0 / z
-    return complex(w * npoly.polyval(w, v.coeffs))
+    return complex(w * _series(v.coeffs, w))

@@ -192,6 +192,21 @@ def test_growth_overflow_is_a_numerical_validity_error():
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_growth_weight_overflow_is_refused_without_warnings():
+    # (1 + 512^2)^(s - 1/2) overflows from s = 58 on
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["growth", "--gamma", "2", "--z0", "1,0", "--N", "512", "--s-grid=-4:120"])
+    assert code == 3
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical validity error:")
+    assert "s=58" in lines[0] and "N=512" in lines[0]
+    assert not caught
+
+
 def test_module_entry_point_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

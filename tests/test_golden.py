@@ -1,17 +1,23 @@
-"""Golden check values of the duality suite.
+"""Golden outputs of the duality suite and of the growth report.
 
 The sha256 digests below were taken from the check ``value`` fields of
 ``verify_duality_isomorphism`` before moment probing and the brute-force norm
 were batched.  Batching reorders no floating-point sum that feeds a value,
 so every value must stay byte-identical; bounds and verdicts are not hashed.
+
+``data/growth_reports.json`` holds growth reports taken while the family
+coefficients still came from a Python recurrence and series values from
+Horner's rule.  The vectorised versions round differently in the last bits,
+so verdicts are held exactly and numbers to a relative 1e-12.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from diskdual import verify_duality_isomorphism
+from diskdual import GrowthFamilySpec, build_growth_report, verify_duality_isomorphism
 
 SCALES = range(-6, 7)
 TRIALS = 4
@@ -37,3 +43,20 @@ def test_duality_check_values_are_byte_identical(n, seed):
     ]
     digest = hashlib.sha256(json.dumps(values).encode()).hexdigest()
     assert digest == GOLDEN[(n, seed)], values
+
+
+GROWTH_CASES = json.loads((Path(__file__).parent / "data" / "growth_reports.json").read_text())
+GROWTH_EXACT = ("s_min_estimate", "s_min_flag", "truncation_warning", "R_used")
+
+
+@pytest.mark.parametrize("case", GROWTH_CASES, ids=lambda c: f"N={c['N']}-gamma={c['gamma']}-z0={c['z0']}")
+def test_growth_reports_match_the_golden_corpus(case):
+    z0 = complex(*case["z0"])
+    doc = build_growth_report(GrowthFamilySpec(z0, case["gamma"], case["N"]), range(-4, 4)).to_doc()
+    golden = case["report"]
+    assert {k: doc[k] for k in GROWTH_EXACT} == {k: golden[k] for k in GROWTH_EXACT}
+    for key in ("gamma_fitted", "C_fitted"):
+        assert doc[key] == pytest.approx(golden[key], rel=1e-12, abs=0)
+    assert [s for s, _ in doc["norm_curve"]] == [s for s, _ in golden["norm_curve"]]
+    assert [v for _, v in doc["norm_curve"]] == pytest.approx(
+        [v for _, v in golden["norm_curve"]], rel=1e-12, abs=0)

@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy.special import binom
+from scipy.special import binom, poch
+from scipy.special import gamma as gamma_fn
 
 from diskdual import (
     DegenerateInputError,
@@ -14,6 +15,7 @@ from diskdual import (
     growth_family_coeffs,
     pointwise_growth_exponent,
 )
+from diskdual import growth
 from diskdual.growth import build_growth_report
 
 
@@ -49,6 +51,35 @@ def test_family_recurrence_matches_binomial_series():
         np.testing.assert_allclose(u.coeffs, oracle, rtol=1e-12)
 
 
+@pytest.mark.parametrize("gamma", [0.5, 0.75, 1.0, 1.25, 2.0, 2.75, 3.0, 7.5, 20.0])
+def test_family_magnitudes_match_the_gamma_closed_form(gamma):
+    # |a_n| = Gamma(n + gamma) / (Gamma(gamma) n!), with poch(n + 1, gamma - 1)
+    # = Gamma(n + gamma) / Gamma(n + 1) keeping the ratio accurate at large n
+    degree = 2 ** 16
+    u = _family(gamma, z0=np.exp(0.3j), degree=degree)
+    n = np.arange(degree + 1, dtype=float)
+    np.testing.assert_allclose(np.abs(u.coeffs), poch(n + 1.0, gamma - 1.0) / gamma_fn(gamma),
+                               rtol=1e-10, atol=0)
+
+
+def _recurrence_reference(spec):
+    """The one-term recurrence as a Python loop, the form the running product replaced."""
+    a = np.empty(spec.degree + 1, dtype=complex)
+    a[0] = 1.0
+    zc = np.conj(spec.z0)
+    for n in range(spec.degree):
+        a[n + 1] = a[n] * (n + spec.gamma) / (n + 1) * zc
+    return a
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.75, 20.0])
+def test_family_matches_the_recurrence_loop(gamma):
+    # both forms round each of the n factors of a_n once or twice
+    spec = GrowthFamilySpec(np.exp(0.9j), gamma, 4096)
+    np.testing.assert_allclose(growth_family_coeffs(spec).coeffs, _recurrence_reference(spec),
+                               rtol=8 * spec.degree * np.finfo(float).eps, atol=0)
+
+
 def test_family_spec_validation():
     with pytest.raises(ValueError):
         GrowthFamilySpec(0.5, 1.0, 64)  # z0 off the circle
@@ -77,6 +108,13 @@ def test_polynomials_saturate_the_grid():
     a[3] = 1.0
     est = estimate_min_sobolev(InteriorFunction(a), range(-4, 4))
     assert est.s_min == 3 and est.flag == "entire-side-saturation"
+
+
+def test_weighted_levels_equal_the_per_level_formula():
+    mags_sq = np.abs(_family(1.75, z0=np.exp(0.2j), degree=4096).coeffs) ** 2
+    n = np.arange(mags_sq.size, dtype=float)
+    for s, weighted in growth._weighted_levels(mags_sq, range(-4, 4)):
+        np.testing.assert_array_equal(weighted, (1.0 + n * n) ** (s - 0.5) * mags_sq)
 
 
 def test_scale_guards():

@@ -1,7 +1,12 @@
 """Hardy split, Cauchy transform, traces, jump identity, evaluation."""
 
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from diskdual import (
     BOUNDARY_EVALUATION_THRESHOLD,
@@ -25,6 +30,7 @@ from diskdual import (
     trace_exterior,
     trace_interior,
 )
+from diskdual import hardy
 
 
 # ---------------------------------------------------------------- traces
@@ -184,6 +190,69 @@ def test_evaluation_domain_errors():
 def test_exterior_values_vanish_at_infinity():
     v = ExteriorFunction([3.0, 4.0])
     assert abs(evaluate_exterior(v, 1e8)) < 1e-7
+
+
+# ---------------------------------------------------------------- series evaluation
+#
+# Horner's rule (numpy's polyval) is the reference.  Both it and the blocked
+# evaluator err by O(size) roundings per term in the worst case, so they are
+# compared relative to sum |c_n| |z|^n, never to the (possibly cancelled) value.
+
+_B = hardy._SERIES_BLOCK
+
+
+def _coefficients(size, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-8, 9, size)
+    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * scale
+
+
+def _assert_matches_polyval(value, c, z):
+    bound = 4 * (c.size + _B) * np.finfo(float).eps * np.sum(np.abs(c) * abs(z) ** np.arange(c.size))
+    assert abs(value - npoly.polyval(z, c)) <= bound
+
+
+@settings(deadline=None)
+@given(
+    size=st.integers(1, 3 * _B + 7),
+    seed=st.integers(0, 2 ** 32 - 1),
+    radius=st.floats(0.0, 1.0 - 1e-6),
+    angle=st.floats(-np.pi, np.pi),
+)
+@example(size=1, seed=1, radius=0.5, angle=0.3)
+@example(size=_B - 1, seed=2, radius=1.0 - 1e-6, angle=0.3)
+@example(size=_B, seed=3, radius=1.0 - 1e-6, angle=-2.0)
+@example(size=_B + 1, seed=4, radius=0.99, angle=1.0)
+@example(size=2 * _B, seed=5, radius=0.0, angle=0.0)
+@example(size=3 * _B + 7, seed=6, radius=0.999, angle=3.0)
+def test_series_matches_polyval(size, seed, radius, angle):
+    c = _coefficients(size, seed)
+    z = radius * cmath.exp(1j * angle)
+    _assert_matches_polyval(evaluate_interior(InteriorFunction(c), z), c, z)
+
+
+def test_evaluate_interior_at_a_million_terms():
+    c = _coefficients(2 ** 20, 5)
+    z = (1.0 - 1e-6) * cmath.exp(-0.4j)
+    _assert_matches_polyval(evaluate_interior(InteriorFunction(c), z), c, z)
+
+
+def test_evaluate_exterior_matches_polyval_across_block_sizes():
+    b = _coefficients(_B + 1, 6)
+    z = (1.0 + 1e-6) * cmath.exp(2.0j)
+    w = 1.0 / z
+    _assert_matches_polyval(evaluate_exterior(ExteriorFunction(b), z) / w, b, w)
+
+
+def test_cauchy_transform_branches_match_polyval():
+    c = _coefficients(3 * _B + 6, 7)
+    f = BoundaryDistribution(-(_B + 1), c)   # modes -(B + 1) .. 2B + 4
+    upper, lower = c[_B + 1:], c[:_B + 1][::-1]   # c_0, c_1, ... and c_{-1}, c_{-2}, ...
+    z = 0.999 * cmath.exp(1.1j)
+    _assert_matches_polyval(cauchy_transform(f, z), upper, z)
+    z = 1.001 * cmath.exp(-2.5j)
+    w = 1.0 / z
+    _assert_matches_polyval(-cauchy_transform(f, z) / w, lower, w)
 
 
 # ---------------------------------------------------------------- orthogonality
