@@ -27,6 +27,7 @@ from .hardy import (
     BOUNDARY_EVALUATION_THRESHOLD,
     ExteriorFunction,
     InteriorFunction,
+    boundary_trace,
     cauchy_transform,
     evaluate_exterior,
     evaluate_interior,

@@ -57,14 +57,6 @@ def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _as_boundary(obj) -> spectral.BoundaryDistribution:
-    if isinstance(obj, spectral.BoundaryDistribution):
-        return obj
-    if isinstance(obj, hardy.InteriorFunction):
-        return hardy.trace_interior(obj)
-    return hardy.trace_exterior(obj)
-
-
 def _node_values(obj, curve: curves.CurveDescriptor, grid: curves.QuadratureGrid):
     if isinstance(obj, hardy.InteriorFunction):
         return curves.interior_node_values(obj, curve, grid)
@@ -80,22 +72,21 @@ def _cmd_gen(args) -> tuple[dict, int]:
     else:
         rng = np.random.default_rng(args.seed)
         size = args.n
-        draw = lambda k: rng.standard_normal(k) + 1j * rng.standard_normal(k)
         if args.random == "boundary":
-            obj = spectral.BoundaryDistribution(-size, draw(2 * size + 1))
+            obj = spectral.BoundaryDistribution(-size, duality.complex_normal(rng, 2 * size + 1))
         elif args.random == "interior":
-            obj = hardy.InteriorFunction(draw(size + 1))
+            obj = hardy.InteriorFunction(duality.complex_normal(rng, size + 1))
         else:
-            obj = hardy.ExteriorFunction(draw(size))
+            obj = hardy.ExteriorFunction(duality.complex_normal(rng, size))
     return formats.coefficients_to_doc(obj), 0
 
 
 def _cmd_norm(args) -> tuple[dict, int]:
     obj = formats.read_coefficient_file(args.infile)
-    f = _as_boundary(obj)
+    f = hardy.boundary_trace(obj)
     value = spectral.sobolev_norm(f, args.sp)
     return {
-        "kind": formats.coefficients_to_doc(obj)["kind"],
+        "kind": formats.kind_of(obj),
         "sobolev_index": float(args.sp),
         "sobolev_norm": value,
     }, 0
@@ -104,7 +95,7 @@ def _cmd_norm(args) -> tuple[dict, int]:
 def _cmd_pair(args) -> tuple[dict, int]:
     obj_u = formats.read_coefficient_file(args.u)
     obj_v = formats.read_coefficient_file(args.v)
-    fu, fv = _as_boundary(obj_u), _as_boundary(obj_v)
+    fu, fv = hardy.boundary_trace(obj_u), hardy.boundary_trace(obj_v)
     doc = {
         "koethe": _pair(spectral.koethe_pairing(fu, fv)),
         "l2": _pair(spectral.l2_pairing(fu, fv)),
@@ -123,7 +114,7 @@ def _cmd_pair(args) -> tuple[dict, int]:
 
 def _cmd_cauchy(args) -> tuple[dict, int]:
     obj = formats.read_coefficient_file(args.infile)
-    f = _as_boundary(obj)
+    f = hardy.boundary_trace(obj)
     doc = {
         "point": _pair(args.at),
         "spectral": _pair(hardy.cauchy_transform(f, args.at)),
@@ -141,7 +132,7 @@ def _cmd_cauchy(args) -> tuple[dict, int]:
 
 
 def _cmd_project(args) -> tuple[dict, int]:
-    f = _as_boundary(formats.read_coefficient_file(args.infile))
+    f = hardy.boundary_trace(formats.read_coefficient_file(args.infile))
     u, v_plus = hardy.hardy_projections(f, args.boundary_index)
     return {
         "boundary_index": float(args.boundary_index),
@@ -152,7 +143,7 @@ def _cmd_project(args) -> tuple[dict, int]:
 
 
 def _cmd_dualize(args) -> tuple[dict, int]:
-    w = _as_boundary(formats.read_coefficient_file(args.w))
+    w = hardy.boundary_trace(formats.read_coefficient_file(args.w))
     v = duality.represent_functional(w, args.s)
     return formats.coefficients_to_doc(v), 0
 

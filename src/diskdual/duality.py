@@ -41,6 +41,7 @@ __all__ = [
     "pairing_tail_certificate",
     "verify_duality_isomorphism",
     "verify_scale_pairing",
+    "complex_normal",
     "SCALE_DIRECTIONS",
 ]
 
@@ -60,6 +61,13 @@ BRUTEFORCE_BOUND_FLOOR, BRUTEFORCE_RELATIVE_BOUND = 1e-6, 1e-12
 SCALE_DIRECTIONS = ("interior-finite-order", "exterior-finite-order")
 
 
+def _integer_scale(s) -> int:
+    """The scale index s as an int; a float with a fractional part raises ValueError."""
+    if isinstance(s, float) and not s.is_integer():
+        raise ValueError("scale index must be an integer")
+    return int(s)
+
+
 @dataclass(frozen=True, eq=False)
 class DualFunctional:
     """Functional on degree-s interior functions, represented by an exterior function."""
@@ -68,9 +76,7 @@ class DualFunctional:
     s: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.s, float) and not self.s.is_integer():
-            raise ValueError("domain index of a dual functional must be an integer")
-        object.__setattr__(self, "s", int(self.s))
+        object.__setattr__(self, "s", _integer_scale(self.s))
 
     def __call__(self, u: InteriorFunction):
         """F(u) as a black-box oracle; a probe block is answered for all its rows at once."""
@@ -167,9 +173,7 @@ def represent_functional(w: BoundaryDistribution, s: int) -> ExteriorFunction:
     interior traces.  The result satisfies
     apply(functional_from_exterior(v, s), u) == kappa(u|bd, w) for every u.
     """
-    if isinstance(s, float) and not s.is_integer():
-        raise ValueError("scale index must be an integer")
-    _, v_plus = hardy_projections(w, boundary_index=0.5 - int(s))
+    _, v_plus = hardy_projections(w, boundary_index=0.5 - _integer_scale(s))
     return ExteriorFunction(-v_plus.coeffs, v_plus.index)
 
 
@@ -357,19 +361,9 @@ def pairing_tail_certificate(
     )
 
 
-def _random_exterior(rng: np.random.Generator, size: int, s: int) -> ExteriorFunction:
-    b = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return ExteriorFunction(b, 1 - s)
-
-
-def _random_interior(rng: np.random.Generator, size: int, s: int) -> InteriorFunction:
-    a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return InteriorFunction(a, s)
-
-
-def _random_boundary(rng: np.random.Generator, span: int) -> BoundaryDistribution:
-    c = rng.standard_normal(2 * span + 1) + 1j * rng.standard_normal(2 * span + 1)
-    return BoundaryDistribution(-span, c)
+def complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
+    """size complex Gaussian coefficients: all real parts drawn first, then all imaginary parts."""
+    return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
 def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) -> VerificationReport:
@@ -385,9 +379,7 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if isinstance(s, float) and not s.is_integer():
-        raise ValueError("scale index must be an integer")
-    s = int(s)
+    s = _integer_scale(s)
     children = np.random.SeedSequence(seed).spawn(trials)
     lower, upper = norm_ratio_bounds(s)
 
@@ -405,15 +397,15 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
     sur_terms_max = 0.0
     for child in children:
         rng = np.random.default_rng(child)
-        v = _random_exterior(rng, degree_cap, s)
+        v = ExteriorFunction(complex_normal(rng, degree_cap), 1 - s)
         functional = functional_from_exterior(v, s)
 
         recovered = reconstruct_exterior_from_blackbox(functional, degree_cap, s)
         inj_err = max(inj_err, float(np.max(np.abs(recovered.coeffs - v.coeffs))))
 
-        w = _random_boundary(rng, degree_cap)
+        w = BoundaryDistribution(-degree_cap, complex_normal(rng, 2 * degree_cap + 1))
         rep = represent_functional(w, s)
-        probe = _random_interior(rng, degree_cap + 4, s)
+        probe = InteriorFunction(complex_normal(rng, degree_cap + 4), s)
         raw = koethe_pairing(trace_interior(probe), w)
         through = apply_functional(functional_from_exterior(rep, s), probe)
         sur_err = max(sur_err, abs(through - raw))

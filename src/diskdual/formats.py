@@ -7,11 +7,13 @@ A coefficient document is JSON of the form
      "coeffs": [[re, im], ...],      # ascending in frequency
      "s": float}                     # optional Sobolev bookkeeping index
 
-Interior documents start at frequency 0 (n_min = 0, entry i is the z^i
-coefficient).  Exterior documents end at frequency -1 (n_min = -len), the
-entry at frequency -m being the z^(-m) coefficient.  Reals round-trip through
-the shortest-repr decimal that Python's json module emits, and documents are
-always serialized with sorted keys so identical inputs give identical bytes.
+A document is its kind plus the boundary trace of the container
+(``hardy.boundary_trace``), so interior documents start at frequency 0
+(entry i is the z^i coefficient) and exterior documents end at frequency -1
+(the entry at frequency -m is the z^(-m) coefficient).  Reals round-trip
+through the shortest-repr decimal that Python's json module emits, and
+documents are always serialized with sorted keys so identical inputs give
+identical bytes.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ import math
 import numpy as np
 
 from .errors import InvalidDataError
-from .hardy import ExteriorFunction, InteriorFunction
+from .hardy import ExteriorFunction, InteriorFunction, boundary_trace
 from .spectral import BoundaryDistribution
 
 __all__ = [
+    "kind_of",
     "coefficients_to_doc",
     "doc_to_coefficients",
     "read_coefficient_file",
@@ -34,6 +37,7 @@ __all__ = [
 ]
 
 CoefficientObject = BoundaryDistribution | InteriorFunction | ExteriorFunction
+_KINDS = {"boundary": BoundaryDistribution, "interior": InteriorFunction, "exterior": ExteriorFunction}
 
 
 def _pairs(values: np.ndarray) -> list[list[float]]:
@@ -50,26 +54,22 @@ def _array(pairs, what: str) -> np.ndarray:
     return arr
 
 
-def coefficients_to_doc(obj: CoefficientObject) -> dict:
-    """Serialize a coefficient container to its JSON document."""
-    if isinstance(obj, BoundaryDistribution):
-        return {"kind": "boundary", "n_min": int(obj.n_min), "coeffs": _pairs(obj.coeffs)}
-    if isinstance(obj, InteriorFunction):
-        return {
-            "kind": "interior",
-            "n_min": 0,
-            "coeffs": _pairs(obj.coeffs),
-            "s": float(obj.index),
-        }
-    if isinstance(obj, ExteriorFunction):
-        coeffs = obj.coeffs[::-1] if obj.coeffs.size else np.zeros(1, dtype=complex)
-        return {
-            "kind": "exterior",
-            "n_min": -len(coeffs),
-            "coeffs": _pairs(coeffs),
-            "s": float(obj.index),
-        }
+def kind_of(obj: CoefficientObject) -> str:
+    """Document kind of a coefficient container."""
+    for kind, cls in _KINDS.items():
+        if isinstance(obj, cls):
+            return kind
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def coefficients_to_doc(obj: CoefficientObject) -> dict:
+    """Serialize a coefficient container as its kind plus its boundary trace."""
+    kind = kind_of(obj)
+    trace = boundary_trace(obj)
+    doc = {"kind": kind, "n_min": trace.n_min, "coeffs": _pairs(trace.coeffs)}
+    if kind != "boundary":
+        doc["s"] = float(obj.index)
+    return doc
 
 
 def doc_to_coefficients(doc: dict) -> CoefficientObject:
@@ -86,20 +86,21 @@ def doc_to_coefficients(doc: dict) -> CoefficientObject:
     index = doc.get("s", 0.0)
     if not (isinstance(index, (int, float)) and math.isfinite(index)):
         raise ValueError("index 's' must be a finite number")
-    if kind == "boundary":
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown coefficient kind {kind!r}")
+    if cls is BoundaryDistribution:
         return BoundaryDistribution(n_min, coeffs)
-    if kind == "interior":
+    if cls is InteriorFunction:
         if n_min != 0:
             raise ValueError(f"interior documents start at frequency 0, got n_min = {n_min}")
         return InteriorFunction(coeffs, float(index))
-    if kind == "exterior":
-        if n_min != -coeffs.size:
-            raise ValueError(
-                f"exterior documents must end at frequency -1 "
-                f"(n_min = -len(coeffs)), got n_min = {n_min} with {coeffs.size} coeffs"
-            )
-        return ExteriorFunction(coeffs[::-1], float(index))
-    raise ValueError(f"unknown coefficient kind {kind!r}")
+    if n_min != -coeffs.size:
+        raise ValueError(
+            f"exterior documents must end at frequency -1 "
+            f"(n_min = -len(coeffs)), got n_min = {n_min} with {coeffs.size} coeffs"
+        )
+    return ExteriorFunction(coeffs[::-1], float(index))
 
 
 def canonical_json(doc: dict) -> str:

@@ -63,11 +63,14 @@ class ScaleEstimate:
 
     ``flag`` is one of ``ok``, ``entire-side-saturation`` (every grid level
     passed, e.g. polynomials), ``inconclusive`` (tail too irregular to call),
-    or ``below-grid`` (no grid level passed).
+    or ``below-grid`` (no grid level passed).  ``norm_curve`` holds
+    (s, trace norm of index s - 1/2) for each grid level, inf where the norm
+    exceeds the float range.
     """
 
     s_min: int | None
     flag: str
+    norm_curve: tuple[tuple[int, float], ...]
 
 
 @dataclass(frozen=True)
@@ -124,15 +127,20 @@ def _block_ratios(weighted: np.ndarray) -> np.ndarray:
     return np.divide(sums[1:], sums[:-1], out=np.zeros(max(len(sums) - 1, 0)), where=sums[:-1] > 0)
 
 
-def _weighted_levels(mags_sq: np.ndarray, grid):
-    """Yield (s, (1 + n^2)^(s - 1/2) mags_sq[n]) for each level s of the grid.
+def _scan_levels(mags: np.ndarray, grid) -> tuple[list[int], tuple[tuple[int, float], ...]]:
+    """Passing levels and the trace norms of index s - 1/2 for the levels s of the grid.
 
-    Every level is written into the same buffer, so a caller must use it
-    before asking for the next level.  Levels whose largest weight exceeds
-    the float range raise :class:`InvalidDataError` before any weight is
-    computed.
+    Each level forms (1 + n^2)^(s - 1/2) |a_n|^2 once, in one reused buffer,
+    and reads both its convergence verdict and its norm from it.  The
+    magnitudes are scaled by 2^-e before squaring, so the product cannot
+    overflow; away from the subnormal range the scaling is exact, so the
+    verdicts are those of the unscaled product and each norm 2^e sqrt(sum)
+    is bit-identical to sobolev_norm(trace_interior(u), s - 0.5).  A level
+    whose sum still overflows fails and reads inf.  Levels whose largest
+    weight exceeds the float range raise :class:`InvalidDataError` before
+    any weight is computed.
     """
-    top = float(mags_sq.size - 1)
+    top = float(mags.size - 1)
     for s in grid:
         try:
             (1.0 + top * top) ** (s - 0.5)  # the largest weight for s >= 1
@@ -140,14 +148,24 @@ def _weighted_levels(mags_sq: np.ndarray, grid):
             raise InvalidDataError(
                 f"trace weight (1 + N^2)^(s - 1/2) at s={s}, N={top:.0f} exceeds the float range"
             ) from None
-    base = np.arange(mags_sq.size, dtype=float)
+    exponent = int(np.frexp(mags.max())[1])
+    scaled_sq = np.ldexp(mags, -exponent)
+    scaled_sq *= scaled_sq
+    base = np.arange(mags.size, dtype=float)
     base *= base
     base += 1.0
     weighted = np.empty_like(base)
+    passing, curve = [], []
     for s in grid:
         np.power(base, s - 0.5, out=weighted)
-        weighted *= mags_sq
-        yield s, weighted
+        weighted *= scaled_sq
+        with np.errstate(over="ignore"):
+            total = np.sum(weighted)
+            norm = float(np.ldexp(np.sqrt(total), exponent))
+        if math.isfinite(total) and _converges(weighted):
+            passing.append(s)
+        curve.append((s, norm))
+    return passing, tuple(curve)
 
 
 def _converges(weighted: np.ndarray) -> bool:
@@ -193,18 +211,17 @@ def estimate_min_sobolev(u: InteriorFunction, s_grid) -> ScaleEstimate:
             f"coefficient magnitudes up to {mags.max():.3g} overflow when squared; "
             f"scale placement needs |a_n| <= {_SQUARE_MAX:.3g}"
         )
-    mags_sq = mags * mags
-    passing = [s for s, weighted in _weighted_levels(mags_sq, grid) if _converges(weighted)]
+    passing, curve = _scan_levels(mags, grid)
     if len(passing) == len(grid):
-        return ScaleEstimate(max(grid), "entire-side-saturation")
+        return ScaleEstimate(max(grid), "entire-side-saturation", curve)
     # nested-scale sanity: the passing set must be an initial segment
     if passing != grid[: len(passing)]:
-        return ScaleEstimate(None, "inconclusive")
+        return ScaleEstimate(None, "inconclusive", curve)
     if _tail_fit_residual(mags) > _FIT_RESIDUAL_MAX:
-        return ScaleEstimate(None, "inconclusive")
+        return ScaleEstimate(None, "inconclusive", curve)
     if not passing:
-        return ScaleEstimate(None, "below-grid")
-    return ScaleEstimate(max(passing), "ok")
+        return ScaleEstimate(None, "below-grid", curve)
+    return ScaleEstimate(max(passing), "ok", curve)
 
 
 def pointwise_growth_exponent(u: InteriorFunction, z0: complex, radii) -> GrowthFit:
@@ -262,25 +279,6 @@ def classify_decay(coeffs) -> str:
     return "neither"
 
 
-def _norm_curve(a: np.ndarray, grid) -> tuple[tuple[int, float], ...]:
-    """Trace norms of index s - 1/2 for each s on the grid.
-
-    The magnitudes are scaled by a power of two before squaring, so the sums
-    cannot overflow and each value is bit-identical to
-    sobolev_norm(trace_interior(u), s - 0.5) wherever that is finite.
-    """
-    mags = np.abs(a)
-    exponent = int(np.frexp(mags.max())[1])
-    scaled_sq = np.ldexp(mags, -exponent) ** 2
-    curve = []
-    for s, weighted in _weighted_levels(scaled_sq, grid):
-        value = float(np.ldexp(np.sqrt(np.sum(weighted)), exponent))
-        if not math.isfinite(value):
-            raise InvalidDataError(f"trace norm of index {s - 0.5} exceeds the float range")
-        curve.append((s, value))
-    return tuple(curve)
-
-
 def build_growth_report(spec: GrowthFamilySpec, s_grid, radii=None) -> GrowthReport:
     """Generate the family, fit its growth, and place it on the integer scale."""
     if radii is None:
@@ -288,7 +286,9 @@ def build_growth_report(spec: GrowthFamilySpec, s_grid, radii=None) -> GrowthRep
     u = growth_family_coeffs(spec)
     fit = pointwise_growth_exponent(u, spec.z0, radii)
     estimate = estimate_min_sobolev(u, s_grid)
-    curve = _norm_curve(u.coeffs, sorted({int(s) for s in s_grid}))
+    for s, value in estimate.norm_curve:
+        if not math.isfinite(value):
+            raise InvalidDataError(f"trace norm of index {s - 0.5} exceeds the float range")
     return GrowthReport(
         gamma_fitted=fit.gamma_fitted,
         c_fitted=fit.c_fitted,
@@ -296,5 +296,5 @@ def build_growth_report(spec: GrowthFamilySpec, s_grid, radii=None) -> GrowthRep
         s_min_estimate=estimate.s_min,
         s_min_flag=estimate.flag,
         truncation_warning=fit.truncation_warning,
-        norm_curve=curve,
+        norm_curve=estimate.norm_curve,
     )

@@ -24,6 +24,7 @@ __all__ = [
     "ExteriorFunction",
     "trace_interior",
     "trace_exterior",
+    "boundary_trace",
     "cauchy_transform",
     "hardy_projections",
     "jump_residual",
@@ -130,6 +131,17 @@ def trace_exterior(v: ExteriorFunction) -> BoundaryDistribution:
     if v.coeffs.size == 0:
         return BoundaryDistribution(-1, np.zeros(1, dtype=complex))
     return BoundaryDistribution(-v.coeffs.size, v.coeffs[::-1])
+
+
+def boundary_trace(obj) -> BoundaryDistribution:
+    """Boundary trace of any coefficient container; boundary data is its own trace."""
+    if isinstance(obj, BoundaryDistribution):
+        return obj
+    if isinstance(obj, InteriorFunction):
+        return trace_interior(obj)
+    if isinstance(obj, ExteriorFunction):
+        return trace_exterior(obj)
+    raise TypeError(f"{type(obj).__name__} is not a coefficient container")
 
 
 def cauchy_transform(f: BoundaryDistribution, z: complex) -> complex:

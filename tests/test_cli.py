@@ -207,6 +207,29 @@ def test_growth_weight_overflow_is_refused_without_warnings():
     assert not caught
 
 
+@pytest.mark.parametrize("argv, expected", [
+    # |a_n|^2 times the finite weights of the top levels overflowed
+    (["growth", "--gamma", "5", "--N", "4096", "--s-grid=-4:40"], 0),
+    # the dyadic block sums of the default grid overflowed
+    (["growth", "--gamma", "40", "--N", "65536"], 0),
+    # the s = 43 norm exceeds the float range although its largest weight does not
+    (["growth", "--gamma", "5", "--N", "4096", "--s-grid=-4:43"], 3),
+])
+def test_growth_near_the_float_range_runs_without_warnings(argv, expected):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    assert code == expected
+    assert not caught
+    if expected == 0:
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("numerical validity error: trace norm")
+
+
 def test_module_entry_point_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -14,6 +14,7 @@ from diskdual import (
     BoundaryDistribution,
     CurveDescriptor,
     DegenerateInputError,
+    DualFunctional,
     ExteriorFunction,
     InteriorFunction,
     InvalidFamilyError,
@@ -410,3 +411,13 @@ def test_zero_oracle_reconstructs_zero(cap, s):
     for oracle in (zero, lambda u: 0j):
         v = reconstruct_exterior_from_blackbox(oracle, cap, s)
         assert v.coeffs.size == cap and not np.any(v.coeffs)
+
+
+def test_fractional_scale_index_is_refused():
+    v = ExteriorFunction([1.0, 2.0])
+    w = BoundaryDistribution.from_modes({-1: 1.0})
+    for call in (lambda s: DualFunctional(v, s), lambda s: represent_functional(w, s),
+                 lambda s: verify_duality_isomorphism(s, 1, 8, 1)):
+        with pytest.raises(ValueError, match="scale index must be an integer"):
+            call(0.5)
+    assert DualFunctional(v, 2.0).s == 2 and isinstance(DualFunctional(v, 2.0).s, int)

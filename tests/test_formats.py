@@ -10,6 +10,7 @@ from diskdual.formats import (
     canonical_json,
     coefficients_to_doc,
     doc_to_coefficients,
+    kind_of,
     read_coefficient_file,
     write_coefficient_file,
 )
@@ -55,9 +56,19 @@ def test_zero_exterior_serializes_with_explicit_slot():
     assert isinstance(back, ExteriorFunction)
 
 
+def test_kind_of_names_each_container():
+    objs = (BoundaryDistribution(0, [1.0]), InteriorFunction([1.0]), ExteriorFunction([1.0]))
+    assert [kind_of(obj) for obj in objs] == ["boundary", "interior", "exterior"]
+    assert [coefficients_to_doc(obj)["kind"] for obj in objs] == ["boundary", "interior", "exterior"]
+    with pytest.raises(TypeError):
+        coefficients_to_doc(np.ones(3))
+
+
 def test_document_validation():
     with pytest.raises(ValueError):
         doc_to_coefficients({"kind": "matrix", "n_min": 0, "coeffs": [[1, 0]]})
+    with pytest.raises(ValueError):
+        doc_to_coefficients({"kind": ["interior"], "n_min": 0, "coeffs": [[1, 0]]})
     with pytest.raises(ValueError):
         doc_to_coefficients({"kind": "interior", "n_min": 1, "coeffs": [[1, 0]]})
     with pytest.raises(ValueError):

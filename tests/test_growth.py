@@ -14,6 +14,8 @@ from diskdual import (
     estimate_min_sobolev,
     growth_family_coeffs,
     pointwise_growth_exponent,
+    sobolev_norm,
+    trace_interior,
 )
 from diskdual import growth
 from diskdual.growth import build_growth_report
@@ -111,10 +113,16 @@ def test_polynomials_saturate_the_grid():
 
 
 def test_weighted_levels_equal_the_per_level_formula():
-    mags_sq = np.abs(_family(1.75, z0=np.exp(0.2j), degree=4096).coeffs) ** 2
-    n = np.arange(mags_sq.size, dtype=float)
-    for s, weighted in growth._weighted_levels(mags_sq, range(-4, 4)):
-        np.testing.assert_array_equal(weighted, (1.0 + n * n) ** (s - 0.5) * mags_sq)
+    # verdicts as from the unscaled weights, norms as sobolev_norm of the trace, bit for bit
+    grid = range(-4, 4)
+    for gamma in (0.5, 1.75, 3.0):
+        u = _family(gamma, z0=np.exp(0.2j), degree=4096)
+        mags = np.abs(u.coeffs)
+        n = np.arange(mags.size, dtype=float)
+        passing, curve = growth._scan_levels(mags, grid)
+        assert passing == [s for s in grid if growth._converges((1.0 + n * n) ** (s - 0.5) * mags ** 2)]
+        assert curve == tuple((s, sobolev_norm(trace_interior(u), s - 0.5)) for s in grid)
+        assert estimate_min_sobolev(u, grid).norm_curve == curve
 
 
 def test_scale_guards():

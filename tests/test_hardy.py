@@ -17,6 +17,7 @@ from diskdual import (
     ExteriorFunction,
     InteriorFunction,
     QuadratureGrid,
+    boundary_trace,
     cauchy_integral_quadrature,
     cauchy_transform,
     evaluate_exterior,
@@ -34,6 +35,18 @@ from diskdual import hardy
 
 
 # ---------------------------------------------------------------- traces
+
+
+def test_boundary_trace_dispatches_on_the_container():
+    f = BoundaryDistribution.from_modes({-2: 1.0, 3: 2.0})
+    assert boundary_trace(f) is f
+    u, v, zero = InteriorFunction([1.0, 2.0]), ExteriorFunction([3.0, 4.0j]), ExteriorFunction([])
+    for got, want in ((boundary_trace(u), trace_interior(u)), (boundary_trace(v), trace_exterior(v)),
+                      (boundary_trace(zero), trace_exterior(zero))):
+        assert got.n_min == want.n_min
+        np.testing.assert_array_equal(got.coeffs, want.coeffs)
+    with pytest.raises(TypeError):
+        boundary_trace(np.ones(3))
 
 
 def test_trace_interior_examples():
