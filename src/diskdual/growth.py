@@ -112,7 +112,10 @@ def growth_family_coeffs(spec: GrowthFamilySpec) -> InteriorFunction:
     a[0] = 1.0
     np.divide(np.arange(n) + spec.gamma, np.arange(1.0, n + 1.0), out=a[1:])
     a[1:] *= np.conj(spec.z0)
-    np.cumprod(a, out=a)
+    # A product beyond the float range is reported once, by the container's
+    # finiteness check, not by a stream of numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumprod(a, out=a)
     return InteriorFunction(a)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryProximityError, EvaluationDomainError
-from .spectral import BoundaryDistribution, _require_finite, pad_or_truncate, sobolev_norm
+from .spectral import BoundaryDistribution, _require_finite, _wrap, pad_or_truncate, sobolev_norm
 
 __all__ = [
     "BOUNDARY_EVALUATION_THRESHOLD",
@@ -122,15 +122,16 @@ class ExteriorFunction:
 
 
 def trace_interior(u: InteriorFunction) -> BoundaryDistribution:
-    """Weak boundary value of u: c_n = a_n for n >= 0."""
-    return BoundaryDistribution(0, u.coeffs)
+    """Weak boundary value of u: c_n = a_n for n >= 0.  Shares u's array."""
+    return _wrap(BoundaryDistribution, u.coeffs, n_min=0)
 
 
 def trace_exterior(v: ExteriorFunction) -> BoundaryDistribution:
     """Weak boundary value of v: c_{-m} = b_m for m >= 1."""
     if v.coeffs.size == 0:
-        return BoundaryDistribution(-1, np.zeros(1, dtype=complex))
-    return BoundaryDistribution(-v.coeffs.size, v.coeffs[::-1])
+        return _wrap(BoundaryDistribution, np.zeros(1, dtype=complex), n_min=-1)
+    # A contiguous copy: a reversed view would change the rounding of sums.
+    return _wrap(BoundaryDistribution, v.coeffs[::-1].copy(), n_min=-v.coeffs.size)
 
 
 def boundary_trace(obj) -> BoundaryDistribution:
@@ -180,14 +181,15 @@ def hardy_projections(
     their traces live on.
     """
     out_index = float(boundary_index) + 0.5
+    if not math.isfinite(out_index):
+        raise ValueError("Sobolev index must be finite")
     upper = pad_or_truncate(f, 0, max(f.n_max, 0)).coeffs
-    u = InteriorFunction(upper, out_index)
     if f.n_min < 0:
-        lower = pad_or_truncate(f, f.n_min, -1).coeffs
-        b = -lower[::-1]
+        b = -pad_or_truncate(f, f.n_min, -1).coeffs[::-1]
     else:
         b = np.zeros(0, dtype=complex)
-    return u, ExteriorFunction(b, out_index)
+    return (_wrap(InteriorFunction, upper, index=out_index),
+            _wrap(ExteriorFunction, b, index=out_index))
 
 
 def jump_residual(f: BoundaryDistribution) -> float:

@@ -41,6 +41,29 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise InvalidDataError(f"{what} contain non-finite entries")
 
 
+def _wrap(cls, coeffs: np.ndarray, **fields):
+    """Container around an array derived from validated containers: no copy, no scan.
+
+    Public constructors copy and validate the caller's array.  Operations
+    whose output cannot become non-finite (padding, slicing, traces,
+    negation, the Hardy split) hand their result here instead.  ``coeffs``
+    must be a 1-D, C-contiguous complex array that nothing writes to later;
+    it is made read-only.
+    """
+    coeffs.flags.writeable = False
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "coeffs", coeffs)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _checked(n_min: int, coeffs: np.ndarray) -> "BoundaryDistribution":
+    """Wrap freshly computed coefficients after the one scan that can catch overflow."""
+    _require_finite(coeffs, "boundary coefficients")
+    return _wrap(BoundaryDistribution, coeffs, n_min=n_min)
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryDistribution:
     """Finitely supported Fourier coefficients on the unit circle.
@@ -77,10 +100,12 @@ class BoundaryDistribution:
 
     def nonzero_window(self) -> tuple[int, int] | None:
         """(lowest, highest) frequency with a nonzero coefficient, or None."""
-        idx = np.nonzero(self.coeffs)[0]
-        if idx.size == 0:
+        nonzero = self.coeffs != 0
+        first = int(np.argmax(nonzero))
+        if not nonzero[first]:
             return None
-        return self.n_min + int(idx[0]), self.n_min + int(idx[-1])
+        last = nonzero.size - 1 - int(np.argmax(nonzero[::-1]))
+        return self.n_min + first, self.n_min + last
 
     def is_zero(self) -> bool:
         return self.nonzero_window() is None
@@ -105,19 +130,25 @@ class BoundaryDistribution:
         hi = max(self.n_max, other.n_max)
         return pad_or_truncate(self, lo, hi), pad_or_truncate(other, lo, hi)
 
+    # Sums and products can overflow; the finiteness scan reports that as
+    # one InvalidDataError, so numpy's overflow warnings are silenced.
+
     def __add__(self, other: "BoundaryDistribution") -> "BoundaryDistribution":
         a, b = self._aligned_with(other)
-        return BoundaryDistribution(a.n_min, a.coeffs + b.coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _checked(a.n_min, a.coeffs + b.coeffs)
 
     def __sub__(self, other: "BoundaryDistribution") -> "BoundaryDistribution":
         a, b = self._aligned_with(other)
-        return BoundaryDistribution(a.n_min, a.coeffs - b.coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _checked(a.n_min, a.coeffs - b.coeffs)
 
     def __neg__(self) -> "BoundaryDistribution":
-        return BoundaryDistribution(self.n_min, -self.coeffs)
+        return _wrap(BoundaryDistribution, -self.coeffs, n_min=self.n_min)
 
     def __mul__(self, scalar: complex) -> "BoundaryDistribution":
-        return BoundaryDistribution(self.n_min, self.coeffs * complex(scalar))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _checked(self.n_min, self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
 
@@ -130,14 +161,20 @@ def fourier_analyze(samples) -> BoundaryDistribution:
     taken from ``len(samples)`` and must be even and at least 2.
     """
     samples = np.asarray(samples, dtype=complex)
+    if samples.ndim != 1:
+        raise ValueError("boundary samples must be a 1-D sequence")
     m = samples.size
     if m < 2 or m % 2 != 0:
         raise InvalidGridError(f"uniform analysis grid needs an even sample count >= 2, got {m}")
     _require_finite(samples, "boundary samples")
-    spectrum = np.fft.fft(samples) / m
     half = m // 2
-    coeffs = np.concatenate([spectrum[half + 1:], spectrum[: half + 1]])
-    return BoundaryDistribution(-half + 1, coeffs)
+    coeffs = np.empty(m, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.fft(samples)
+        # One pass divides by M and moves the negative frequencies first.
+        np.divide(spectrum[half + 1:], m, out=coeffs[: half - 1])
+        np.divide(spectrum[: half + 1], m, out=coeffs[half - 1:])
+        return _checked(-half + 1, coeffs)
 
 
 def fourier_synthesize(f: BoundaryDistribution, m: int) -> np.ndarray:
@@ -156,8 +193,15 @@ def fourier_synthesize(f: BoundaryDistribution, m: int) -> np.ndarray:
             raise AliasingError(
                 f"grid with M={m} aliases support |n| <= {span}; need M >= {2 * span + 2}"
             )
+    # Fold the window onto the grid: the frequencies n_min .. n_max are
+    # consecutive mod M, so they fill contiguous runs of the spectrum, added
+    # in window order (the order np.add.at would use).
     spectrum = np.zeros(m, dtype=complex)
-    np.add.at(spectrum, f.frequencies % m, f.coeffs)
+    start, pos = 0, f.n_min % m
+    while start < f.coeffs.size:
+        run = spectrum[pos: pos + f.coeffs.size - start]
+        np.add(run, f.coeffs[start: start + run.size], out=run)
+        start, pos = start + run.size, 0
     return np.fft.ifft(spectrum) * m
 
 
@@ -170,9 +214,15 @@ def sobolev_norm(f: BoundaryDistribution, index: float) -> float:
     index = float(index)
     if not np.isfinite(index):
         raise InvalidDataError("Sobolev index must be finite")
-    n = f.frequencies.astype(float)
-    weights = (1.0 + n * n) ** index
-    return float(np.sqrt(np.sum(weights * np.abs(f.coeffs) ** 2)))
+    # (1 + n^2)^index |c_n|^2, formed in place in one buffer.
+    weights = np.arange(f.n_min, f.n_max + 1, dtype=float)
+    weights *= weights
+    weights += 1.0
+    weights **= index
+    squares = np.abs(f.coeffs)
+    squares *= squares
+    weights *= squares
+    return float(np.sqrt(np.sum(weights)))
 
 
 def l2_pairing(f: BoundaryDistribution, g: BoundaryDistribution) -> complex:
@@ -203,13 +253,19 @@ def koethe_pairing(f: BoundaryDistribution, g: BoundaryDistribution) -> complex:
 
 
 def pad_or_truncate(f: BoundaryDistribution, n_lo: int, n_hi: int) -> BoundaryDistribution:
-    """Restrict / zero-extend the stored window to [n_lo, n_hi].  Idempotent."""
+    """Restrict / zero-extend the stored window to [n_lo, n_hi].  Idempotent.
+
+    A window inside f's shares f's (read-only) array.
+    """
     n_lo, n_hi = int(n_lo), int(n_hi)
     if n_lo > n_hi:
         raise ValueError(f"empty window [{n_lo}, {n_hi}]")
-    out = np.zeros(n_hi - n_lo + 1, dtype=complex)
-    lo = max(n_lo, f.n_min)
-    hi = min(n_hi, f.n_max)
-    if lo <= hi:
-        out[lo - n_lo: hi - n_lo + 1] = f.coeffs[lo - f.n_min: hi - f.n_min + 1]
-    return BoundaryDistribution(n_lo, out)
+    if f.n_min <= n_lo and n_hi <= f.n_max:
+        out = f.coeffs[n_lo - f.n_min: n_hi - f.n_min + 1]
+    else:
+        out = np.zeros(n_hi - n_lo + 1, dtype=complex)
+        lo = max(n_lo, f.n_min)
+        hi = min(n_hi, f.n_max)
+        if lo <= hi:
+            out[lo - n_lo: hi - n_lo + 1] = f.coeffs[lo - f.n_min: hi - f.n_min + 1]
+    return _wrap(BoundaryDistribution, out, n_min=n_lo)

@@ -192,6 +192,20 @@ def test_growth_overflow_is_a_numerical_validity_error():
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_growth_coefficient_overflow_is_one_line_without_warnings():
+    # the running product of the Taylor coefficients leaves the float range
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["growth", "--gamma", "100", "--N", "65536"])
+    assert code == 3
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert lines == ["numerical validity error: interior coefficients contain non-finite entries"]
+    assert not caught
+
+
 def test_growth_weight_overflow_is_refused_without_warnings():
     # (1 + 512^2)^(s - 1/2) overflows from s = 58 on
     out, err = io.StringIO(), io.StringIO()

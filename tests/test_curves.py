@@ -24,6 +24,7 @@ from diskdual import (
     trace_exterior,
     trace_interior,
 )
+from diskdual import curves, hardy, spectral
 
 CIRCLE = CurveDescriptor.circle()
 ELLIPSE = CurveDescriptor.ellipse(1.5, 0.7)
@@ -210,3 +211,106 @@ def test_curve_invariants():
         CurveDescriptor.perturbed_circle(1.2, 3)
     with pytest.raises(ValueError):
         CurveDescriptor.circle(-1.0)
+
+
+# ---------------------------------------------------------------- node geometry cache
+
+
+def test_cached_geometry_equals_the_curve_formulas_bit_for_bit():
+    for curve in (CIRCLE, ELLIPSE, WOBBLE):
+        for c in (curve, curve.reversed()):
+            for m in (16, 96, 4096):
+                grid = QuadratureGrid(m)
+                zeta, dzeta = curves._node_geometry(c, grid)
+                assert zeta.tobytes() == c.point(grid.nodes).tobytes()
+                assert dzeta.tobytes() == c.derivative(grid.nodes).tobytes()
+                assert not zeta.flags.writeable and not dzeta.flags.writeable
+
+
+def test_mutating_returned_node_values_changes_no_later_result():
+    grid = QuadratureGrid(128)
+    u = InteriorFunction([1.0, 2.0, 0.5j])
+    v = ExteriorFunction([3.0, -1j])
+    u_first = interior_node_values(u, ELLIPSE, grid).copy()
+    v_first = exterior_node_values(v, ELLIPSE, grid).copy()
+    quad = cauchy_integral_quadrature(u_first, ELLIPSE, grid, 0.2)
+    for values in (interior_node_values(u, ELLIPSE, grid), exterior_node_values(v, ELLIPSE, grid),
+                   exterior_node_values(ExteriorFunction([]), ELLIPSE, grid)):
+        values[:] = np.nan
+    assert np.array_equal(interior_node_values(u, ELLIPSE, grid), u_first)
+    assert np.array_equal(exterior_node_values(v, ELLIPSE, grid), v_first)
+    assert cauchy_integral_quadrature(u_first, ELLIPSE, grid, 0.2) == quad
+    assert np.array_equal(ELLIPSE.point(grid.nodes), curves._node_geometry(ELLIPSE, grid)[0])
+
+
+def test_oracle_shares_no_code_with_the_spectral_side(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quadrature oracle called the spectral code")
+
+    for module, name in ((hardy, "_series"), (spectral, "fourier_analyze"),
+                         (spectral, "fourier_synthesize"), (curves, "fourier_synthesize")):
+        monkeypatch.setattr(module, name, refuse)
+    grid = QuadratureGrid(256)
+    zeta = ELLIPSE.point(grid.nodes)
+    u = InteriorFunction([1.0, 2.0, 0.5j])
+    v = ExteriorFunction([3.0, -1j])
+    u_vals = interior_node_values(u, ELLIPSE, grid)
+    v_vals = exterior_node_values(v, ELLIPSE, grid)
+    np.testing.assert_allclose(u_vals, 1.0 + 2.0 * zeta + 0.5j * zeta ** 2)
+    np.testing.assert_allclose(v_vals, 3.0 / zeta - 1j / zeta ** 2)
+    # u inside the curve, -v outside it
+    nodes = u_vals + v_vals
+    assert abs(cauchy_integral_quadrature(nodes, ELLIPSE, grid, 0.3) - (1.6 + 0.045j)) < 1e-12
+    assert abs(cauchy_integral_quadrature(nodes, ELLIPSE, grid, 3.0) - (-1.0 + 1j / 9)) < 1e-12
+    assert abs(pairing_quadrature(u_vals, v_vals, ELLIPSE, grid) - (3.0 - 2j)) < 1e-12
+
+
+# ---------------------------------------------------------------- near-curve guard
+
+
+def _off_curve_point(curve, theta, distance, side):
+    """Point at the given distance along the normal, left of the direction of travel if side=1."""
+    tangent = curve.derivative(theta)
+    return complex(curve.point(theta) + side * distance * 1j * tangent / abs(tangent))
+
+
+def test_guard_refuses_a_point_between_the_distance_samples():
+    # Regression: the 4096 fixed samples put this point at 5.6e-4 from the
+    # ellipse, far above the M = 2^18 bound of 2.7e-4; its true distance is 1.6e-4.
+    grid = QuadratureGrid(2 ** 18)
+    bound = curves.PROXIMITY_FACTOR * ELLIPSE.arc_length() / grid.m
+    theta = 2 * np.pi * 1024.5 / 4096
+    z = _off_curve_point(ELLIPSE, theta, 0.6 * bound, -1)
+    assert np.min(np.abs(curves._dense_points(ELLIPSE) - z)) > bound
+    assert abs(ELLIPSE.distance_to(z) - 0.6 * bound) < 1e-9 * bound
+    with pytest.raises(BoundaryProximityError):
+        cauchy_integral_quadrature(np.ones(grid.m), ELLIPSE, grid, z)
+
+
+@pytest.mark.parametrize("curve", [CIRCLE, ELLIPSE, WOBBLE, ELLIPSE.reversed()],
+                         ids=["circle", "ellipse", "wobble", "ellipse-reversed"])
+def test_guard_holds_its_bound_up_to_two_to_the_eighteen(curve):
+    rng = np.random.default_rng(7)
+    for k in range(10, 19):
+        grid = QuadratureGrid(2 ** k)
+        bound = curves.PROXIMITY_FACTOR * curve.arc_length() / grid.m
+        for theta in rng.uniform(0.0, 2 * np.pi, 4):
+            for side in (1, -1):
+                near = _off_curve_point(curve, theta, 0.6 * bound, side)
+                with pytest.raises(BoundaryProximityError):
+                    cauchy_integral_quadrature(np.ones(grid.m), curve, grid, near)
+                far = _off_curve_point(curve, theta, 1.5 * bound, side)
+                assert abs(curve.distance_to(far) - 1.5 * bound) <= 1e-9 * bound
+        cauchy_integral_quadrature(np.ones(grid.m), curve, grid, far)
+
+
+def test_distance_is_never_above_the_samples_and_matches_a_fine_sampling():
+    rng = np.random.default_rng(11)
+    for curve in (CIRCLE, ELLIPSE, WOBBLE, CurveDescriptor.perturbed_circle(0.1, 5)):
+        fine = curve.point(np.linspace(0.0, 2 * np.pi, 2 ** 20, endpoint=False))
+        coarse = curves._dense_points(curve)
+        for z in rng.uniform(-2.5, 2.5, (25, 2)) @ np.array([1.0, 1j]):
+            got = curve.distance_to(z)
+            assert got <= np.min(np.abs(coarse - z))
+            # the fine sampling overestimates by at most (|zeta'| h)^2 / (2 d) + |zeta'| h / 2
+            assert np.min(np.abs(fine - z)) - 1e-5 <= got <= np.min(np.abs(fine - z)) + 1e-15

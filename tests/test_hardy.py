@@ -277,3 +277,38 @@ def test_interior_traces_pair_to_zero():
         u = InteriorFunction(rng.standard_normal(6) + 1j * rng.standard_normal(6))
         w = InteriorFunction(rng.standard_normal(8) + 1j * rng.standard_normal(8))
         assert koethe_pairing(trace_interior(u), trace_interior(w)) == 0j
+
+
+# ---------------------------------------------------------------- validation at the edge
+
+
+def test_public_constructors_copy_the_callers_array():
+    a = np.array([1.0, 2.0], dtype=complex)
+    u, v = InteriorFunction(a), ExteriorFunction(a)
+    a[:] = 7.0
+    assert np.array_equal(u.coeffs, [1.0, 2.0]) and np.array_equal(v.coeffs, [1.0, 2.0])
+
+
+def test_traces_and_split_are_read_only_and_contiguous():
+    rng = np.random.default_rng(5)
+    u = InteriorFunction(rng.standard_normal(9) + 1j)
+    v = ExteriorFunction(rng.standard_normal(6) - 1j)
+    f = BoundaryDistribution(-6, rng.standard_normal(16) + 0.5j)
+    containers = [trace_interior(u), trace_exterior(v), trace_exterior(ExteriorFunction([]))]
+    containers += hardy_projections(f)
+    containers += hardy_projections(BoundaryDistribution(2, [1.0, 2.0]))
+    containers += hardy_projections(BoundaryDistribution(-3, [1.0, 2.0]))
+    for c in containers:
+        assert not c.coeffs.flags.writeable
+        assert c.coeffs.flags.c_contiguous
+        assert c.coeffs.dtype == complex
+    # the split's values are the frequency windows of f, exterior side reversed and negated
+    inner, outer = hardy_projections(f)
+    assert np.array_equal(inner.coeffs, f.coeffs[6:])
+    assert np.array_equal(outer.coeffs, -f.coeffs[:6][::-1])
+    assert np.array_equal(trace_exterior(v).coeffs, v.coeffs[::-1])
+
+
+def test_split_refuses_a_non_finite_index():
+    with pytest.raises(ValueError, match="finite"):
+        hardy_projections(BoundaryDistribution(0, [1.0]), boundary_index=float("inf"))

@@ -294,3 +294,90 @@ def test_mismatched_supports_are_zero_padded_silently():
 def test_sobolev_norm_rejects_nonfinite_index():
     with pytest.raises(InvalidDataError):
         sobolev_norm(BoundaryDistribution.zero(), float("inf"))
+
+
+# ---------------------------------------------------------------- validation at the edge
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("compute", [
+    lambda: BoundaryDistribution(0, [1e308]) + BoundaryDistribution(0, [1e308]),
+    lambda: BoundaryDistribution(0, [1e308]) - BoundaryDistribution(0, [-1e308]),
+    lambda: BoundaryDistribution(0, [1e308]) * 10,
+    lambda: 10 * BoundaryDistribution(0, [1e308]),
+    lambda: BoundaryDistribution(0, [1.0]) * np.inf,
+    lambda: fourier_analyze(np.full(4, 1.7e308)),
+], ids=["add", "sub", "mul", "rmul", "mul-inf", "analyze"])
+def test_overflow_is_one_error_without_warnings(compute):
+    with pytest.raises(InvalidDataError, match="non-finite"):
+        compute()
+
+
+def test_analysis_refuses_samples_that_are_not_one_dimensional():
+    with pytest.raises(ValueError, match="1-D"):
+        fourier_analyze(np.ones((2, 4)))
+
+
+def test_public_constructor_copies_the_callers_array():
+    arr = np.array([1.0, 2.0, 3.0], dtype=complex)
+    f = BoundaryDistribution(-1, arr)
+    arr[0] = 99.0
+    assert f.coeffs[0] == 1.0
+    assert not f.coeffs.flags.writeable
+
+
+def test_derived_containers_are_read_only_and_contiguous():
+    f = BoundaryDistribution(-3, np.arange(7) + 1j)
+    g = BoundaryDistribution(1, [2.0, -1j])
+    derived = [
+        pad_or_truncate(f, -1, 2),
+        pad_or_truncate(f, -5, 5),
+        pad_or_truncate(f, 4, 6),
+        pad_or_truncate(f, -3, 3),
+        f + g, f - g, -f, f * 2j, 2j * f,
+        fourier_analyze(np.arange(8.0)),
+    ]
+    for h in derived:
+        assert not h.coeffs.flags.writeable
+        assert h.coeffs.flags.c_contiguous
+        assert h.coeffs.dtype == complex
+    # arithmetic on shared windows leaves the operands unchanged
+    assert np.array_equal(f.coeffs, np.arange(7) + 1j)
+
+
+def test_restriction_shares_the_validated_array():
+    f = BoundaryDistribution(-3, np.arange(7) + 1j)
+    inner = pad_or_truncate(f, -1, 2)
+    assert np.shares_memory(inner.coeffs, f.coeffs)
+    assert inner.n_min == -1 and np.array_equal(inner.coeffs, f.coeffs[2:6])
+
+
+def test_synthesis_folds_windows_longer_than_the_grid_like_add_at():
+    # np.add.at is the reference: the run-by-run fold must add every stored
+    # coefficient, zeros and signed zeros included, in the same order.
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        m = 2 * int(rng.integers(1, 20))
+        span = int(rng.integers(0, m // 2))
+        core = rng.standard_normal(2 * span + 1) + 1j * rng.standard_normal(2 * span + 1)
+        pad_lo, pad_hi = (int(k) for k in rng.integers(0, 3 * m, 2))
+        coeffs = np.concatenate([np.full(pad_lo, complex(-0.0, -0.0)), core, np.zeros(pad_hi)])
+        f = BoundaryDistribution(-span - pad_lo, coeffs)
+        spectrum = np.zeros(m, dtype=complex)
+        np.add.at(spectrum, f.frequencies % m, f.coeffs)
+        assert fourier_synthesize(f, m).tobytes() == (np.fft.ifft(spectrum) * m).tobytes()
+
+
+def test_sobolev_norm_equals_the_direct_expression_bit_for_bit():
+    rng = np.random.default_rng(42)
+    for index in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, 3.0, -2.75, 1.3):
+        f = BoundaryDistribution(-40, rng.standard_normal(97) + 1j * rng.standard_normal(97))
+        n = f.frequencies.astype(float)
+        reference = float(np.sqrt(np.sum((1.0 + n * n) ** index * np.abs(f.coeffs) ** 2)))
+        assert sobolev_norm(f, index) == reference
+
+
+def test_nonzero_window_ignores_signed_zeros_at_both_ends():
+    f = BoundaryDistribution(-4, [complex(-0.0, 0.0), 0, 1j, 0, 2.0, complex(0.0, -0.0)])
+    assert f.nonzero_window() == (-2, 0)
+    assert BoundaryDistribution(3, [complex(-0.0, -0.0), 0]).nonzero_window() is None
