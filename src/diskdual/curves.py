@@ -57,6 +57,8 @@ class CurveDescriptor:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError(f"curve parameters must be finite, got {self.params}")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
         if self.kind == "circle":

@@ -15,7 +15,7 @@ how trials are scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -23,7 +23,8 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidFamilyError, TruncationError
 from .growth import classify_decay
 from .hardy import ExteriorFunction, InteriorFunction, hardy_projections, trace_exterior, trace_interior
-from .spectral import BoundaryDistribution, _require_finite, koethe_pairing, sobolev_norm
+from .spectral import (BoundaryDistribution, _norm_parts, _require_finite, _scaled, _weighted_squares,
+                       koethe_pairing)
 
 __all__ = [
     "DualFunctional",
@@ -106,12 +107,8 @@ class CheckResult:
     passed: bool
 
     def to_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "value": float(self.value),
-            "bound": float(self.bound),
-            "passed": bool(self.passed),
-        }
+        return {"name": self.name, "value": float(self.value), "bound": float(self.bound),
+                "passed": bool(self.passed)}
 
 
 @dataclass(frozen=True)
@@ -132,13 +129,8 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_doc(self) -> dict:
-        return {
-            "label": self.label,
-            "s": int(self.s),
-            "seed": int(self.seed),
-            "passed": self.passed,
-            "checks": [c.to_doc() for c in self.checks],
-        }
+        return {"label": self.label, "s": int(self.s), "seed": int(self.seed), "passed": self.passed,
+                "checks": [c.to_doc() for c in self.checks]}
 
 
 def functional_from_exterior(v: ExteriorFunction, s: int) -> DualFunctional:
@@ -181,21 +173,20 @@ def functional_norm_closed_form(functional: DualFunctional) -> float:
     """Operator norm against the trace norm of index s - 1/2.
 
     The pairing shifts frequencies by one, so the dual weight of b_m is
-    (1 + (m-1)^2)^(1/2 - s).
+    (1 + (m-1)^2)^(1/2 - s).  A norm beyond the float range raises
+    :class:`InvalidDataError`.
     """
-    b = functional.v.coeffs
-    if b.size == 0:
-        return 0.0
-    m = np.arange(1, b.size + 1, dtype=float)
-    weights = (1.0 + (m - 1.0) ** 2) ** (0.5 - functional.s)
-    return float(np.sqrt(np.sum(weights * np.abs(b) ** 2)))
+    root, scale = _norm_parts(np.abs(functional.v.coeffs), 0, 0.5 - functional.s)
+    return _scaled(root, scale, f"closed-form dual norm at s={functional.s}")
 
 
 def _maximizer_coeffs(functional: DualFunctional, size: int) -> np.ndarray:
-    n = np.arange(size, dtype=float)
-    padded = np.zeros(size, dtype=complex)
-    padded[: functional.v.coeffs.size] = functional.v.coeffs
-    return np.conj(padded) * (1.0 + n * n) ** (0.5 - functional.s)
+    """conj(b_{n+1}) (1 + n^2)^(1/2 - s) for n < size, times the kernel's power-of-two scale."""
+    b = functional.v.coeffs
+    a = np.zeros(size, dtype=complex)
+    weights, _ = next(_weighted_squares(np.ones(b.size), 0, (0.5 - functional.s,)))
+    np.multiply(np.conj(b), weights, out=a[: b.size])
+    return a
 
 
 def functional_norm_bruteforce(
@@ -224,13 +215,13 @@ def functional_norm_bruteforce(
     probes[0] = _maximizer_coeffs(functional, degree_cap)
     probes[1:] = draws[:, 0] + 1j * draws[:, 1]
     _require_finite(probes, "probe coefficients")
-    n = np.arange(degree_cap, dtype=float)
-    weights = (1.0 + n * n) ** (functional.s - 0.5)
-    denoms = np.sqrt(np.sum(weights * np.abs(probes) ** 2, axis=1))
+    terms, exponents = next(_weighted_squares(np.abs(probes), 0, (functional.s - 0.5,)))
+    roots = np.sqrt(terms.sum(axis=1))
     values = _pair_rows(probes, functional.v.coeffs)
     best = 0.0
     # Python's abs of a complex, not np.abs: the two can differ in the last bit.
-    for value, denom in zip(values.tolist(), denoms.tolist()):
+    for value, root, exponent in zip(values.tolist(), roots.tolist(), exponents.tolist()):
+        denom = _scaled(root, int(exponent) // 2)
         if denom != 0.0:
             best = max(best, abs(value) / denom)
     return best
@@ -270,11 +261,17 @@ def reconstruct_exterior_from_blackbox(
 
 
 def dual_norm_trace_ratio(v: ExteriorFunction, s: int) -> float | None:
-    """Closed-form dual norm over the trace norm of index 1/2 - s; None when v = 0."""
-    denom = sobolev_norm(trace_exterior(v), 0.5 - s)
+    """Closed-form dual norm over the trace norm of index 1/2 - s; None when v = 0.
+
+    Formed from both norms in scaled form, so it is finite wherever it fits the float range.
+    """
+    trace = trace_exterior(v)
+    denom, denom_scale = _norm_parts(np.abs(trace.coeffs), trace.n_min, 0.5 - s)
     if denom == 0.0:
         return None
-    return functional_norm_closed_form(functional_from_exterior(v, s)) / denom
+    s = _integer_scale(s)
+    root, scale = _norm_parts(np.abs(v.coeffs), 0, 0.5 - s)
+    return _scaled(root / denom, scale - denom_scale, "dual-norm ratio")
 
 
 def norm_ratio_bounds(s: int) -> tuple[float, float]:
@@ -305,13 +302,7 @@ class TailCertificate:
     relative_remainder: float
 
     def to_doc(self) -> dict:
-        return {
-            "total": float(self.total),
-            "second_half_share": float(self.second_half_share),
-            "decay_ratio": float(self.decay_ratio),
-            "remainder_bound": float(self.remainder_bound),
-            "relative_remainder": float(self.relative_remainder),
-        }
+        return {name: float(value) for name, value in asdict(self).items()}
 
 
 def pairing_tail_certificate(
@@ -352,13 +343,7 @@ def pairing_tail_certificate(
             f"pairing terms do not decay on the tail window (observed ratio {decay:.4f})"
         )
     remainder = float(window[-1] * decay / (1.0 - decay)) if decay > 0 else 0.0
-    return TailCertificate(
-        total=total,
-        second_half_share=share,
-        decay_ratio=decay,
-        remainder_bound=remainder,
-        relative_remainder=remainder / total,
-    )
+    return TailCertificate(total, share, decay, remainder, remainder / total)
 
 
 def complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -387,14 +372,8 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
     if dual_norm_trace_ratio(ExteriorFunction(np.zeros(0), 1 - s), s) is None:
         degenerate_skipped += 1
 
-    inj_err = 0.0
-    sur_err = 0.0
+    inj_err = sur_err = ratio_max = continuity = bf_dev = norm_max = sur_terms_max = 0.0
     ratio_min = np.inf
-    ratio_max = 0.0
-    continuity = 0.0
-    bf_dev = 0.0
-    norm_max = 0.0
-    sur_terms_max = 0.0
     for child in children:
         rng = np.random.default_rng(child)
         v = ExteriorFunction(complex_normal(rng, degree_cap), 1 - s)
@@ -419,11 +398,14 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
             ratio_min = min(ratio_min, ratio)
             ratio_max = max(ratio_max, ratio)
 
-        norm = functional_norm_closed_form(functional)
+        root, scale = _norm_parts(np.abs(v.coeffs), 0, 0.5 - s)
+        norm = _scaled(root, scale, f"closed-form dual norm at s={s}")
         norm_max = max(norm_max, norm)
-        denom = norm * sobolev_norm(trace_interior(probe), s - 0.5)
-        if denom > 0:
-            continuity = max(continuity, abs(apply_functional(functional, probe)) / denom)
+        # the continuity ratio |F(probe)| / (norm ||probe||), with both norms kept scaled
+        probe_root, probe_scale = _norm_parts(np.abs(probe.coeffs), 0, s - 0.5)
+        if root * probe_root > 0:
+            value = abs(apply_functional(functional, probe)) / (root * probe_root)
+            continuity = max(continuity, _scaled(value, -scale - probe_scale))
 
         bf = functional_norm_bruteforce(
             functional, degree_cap, iterations=8, seed=int(rng.integers(2 ** 32))
@@ -461,13 +443,8 @@ def _scale_families(direction: str, size: int, rng: np.random.Generator):
     return geometric, polynomial, "interior"
 
 
-def verify_scale_pairing(
-    direction: str,
-    size: int,
-    seed: int,
-    interior_coeffs=None,
-    exterior_coeffs=None,
-) -> VerificationReport:
+def verify_scale_pairing(direction: str, size: int, seed: int, interior_coeffs=None,
+                         exterior_coeffs=None) -> VerificationReport:
     """Certify the pairing between a finite-order side and a smooth side.
 
     ``direction`` says which side carries the polynomially bounded family
@@ -487,24 +464,12 @@ def verify_scale_pairing(
     if exterior_coeffs is not None:
         b = np.asarray(exterior_coeffs, dtype=complex)
     certificate = pairing_tail_certificate(a, b, smooth_side)
-    checks = (
-        CheckResult(
-            f"{direction}: truncation remainder share",
-            certificate.relative_remainder,
-            TAIL_RELATIVE_BOUND,
-            certificate.relative_remainder < TAIL_RELATIVE_BOUND,
-        ),
-        CheckResult(
-            f"{direction}: second-half window share",
-            certificate.second_half_share,
-            1e-6,
-            certificate.second_half_share < 1e-6,
-        ),
-        CheckResult(
-            f"{direction}: observed decay ratio",
-            certificate.decay_ratio,
-            1.0,
-            certificate.decay_ratio < 1.0,
-        ),
+    checks = tuple(
+        CheckResult(f"{direction}: {name}", value, bound, value < bound)
+        for name, value, bound in (
+            ("truncation remainder share", certificate.relative_remainder, TAIL_RELATIVE_BOUND),
+            ("second-half window share", certificate.second_half_share, 1e-6),
+            ("observed decay ratio", certificate.decay_ratio, 1.0),
+        )
     )
     return VerificationReport(f"scale-pairing ({direction})", 0, int(seed), checks)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidDataError, TruncationError
 from .hardy import InteriorFunction, evaluate_interior
+from .spectral import _scaled, _weighted_squares
 
 __all__ = [
     "GrowthFamilySpec",
@@ -121,59 +122,30 @@ def growth_family_coeffs(spec: GrowthFamilySpec) -> InteriorFunction:
 
 def _block_ratios(weighted: np.ndarray) -> np.ndarray:
     """Ratios of consecutive dyadic block sums of a nonnegative sequence."""
-    sums = []
-    k = _BLOCK_FIRST
-    while 2 ** (k + 1) <= weighted.size:
-        sums.append(weighted[2 ** k: 2 ** (k + 1)].sum())
-        k += 1
-    sums = np.asarray(sums)
+    sums = np.array([weighted[2 ** k: 2 ** (k + 1)].sum()
+                     for k in range(_BLOCK_FIRST, weighted.size.bit_length() - 1)])
     return np.divide(sums[1:], sums[:-1], out=np.zeros(max(len(sums) - 1, 0)), where=sums[:-1] > 0)
 
 
 def _scan_levels(mags: np.ndarray, grid) -> tuple[list[int], tuple[tuple[int, float], ...]]:
     """Passing levels and the trace norms of index s - 1/2 for the levels s of the grid.
 
-    Each level forms (1 + n^2)^(s - 1/2) |a_n|^2 once, in one reused buffer,
-    and reads both its convergence verdict and its norm from it.  The
-    magnitudes are scaled by 2^-e before squaring, so the product cannot
-    overflow; away from the subnormal range the scaling is exact, so the
-    verdicts are those of the unscaled product and each norm 2^e sqrt(sum)
-    is bit-identical to sobolev_norm(trace_interior(u), s - 0.5).  A level
-    whose sum still overflows fails and reads inf.  Levels whose largest
-    weight exceeds the float range raise :class:`InvalidDataError` before
-    any weight is computed.
+    One pass of :func:`~diskdual.spectral._weighted_squares` scales each
+    level's terms (1 + n^2)^(s - 1/2) |a_n|^2 by a power of two, which keeps
+    their block ratios; the rescaled root of their sum is the norm, equal to
+    sobolev_norm(trace_interior(u), s - 0.5) bit for bit, or inf beyond the
+    float range.
     """
-    top = float(mags.size - 1)
-    for s in grid:
-        try:
-            (1.0 + top * top) ** (s - 0.5)  # the largest weight for s >= 1
-        except OverflowError:
-            raise InvalidDataError(
-                f"trace weight (1 + N^2)^(s - 1/2) at s={s}, N={top:.0f} exceeds the float range"
-            ) from None
-    exponent = int(np.frexp(mags.max())[1])
-    scaled_sq = np.ldexp(mags, -exponent)
-    scaled_sq *= scaled_sq
-    base = np.arange(mags.size, dtype=float)
-    base *= base
-    base += 1.0
-    weighted = np.empty_like(base)
     passing, curve = [], []
-    for s in grid:
-        np.power(base, s - 0.5, out=weighted)
-        weighted *= scaled_sq
-        with np.errstate(over="ignore"):
-            total = np.sum(weighted)
-            norm = float(np.ldexp(np.sqrt(total), exponent))
-        if math.isfinite(total) and _converges(weighted):
+    for s, (terms, exponent) in zip(grid, _weighted_squares(mags, 0, [k - 0.5 for k in grid])):
+        if _converges(terms):
             passing.append(s)
-        curve.append((s, norm))
+        curve.append((s, _scaled(math.sqrt(terms.sum()), int(exponent) // 2)))
     return passing, tuple(curve)
 
 
 def _converges(weighted: np.ndarray) -> bool:
-    ratios = _block_ratios(weighted)
-    tail = ratios[-3:]
+    tail = _block_ratios(weighted)[-3:]
     return bool(np.max(tail) < 1.0 - _BLOCK_DELTA) if tail.size else False
 
 
@@ -197,8 +169,8 @@ def estimate_min_sobolev(u: InteriorFunction, s_grid) -> ScaleEstimate:
     (1 + n^2)^(s - 1/2) |a_n|^2 shrink by at least delta = 0.05 per block.
     Log-divergent edges therefore fail, and tails too irregular for a stable
     log-log fit come back ``inconclusive`` instead of a guess.  Coefficients
-    whose squares overflow, and grid levels whose weights overflow, raise
-    :class:`InvalidDataError`.
+    whose squares overflow raise :class:`InvalidDataError`; weights and
+    norms may leave the float range (a norm that does reads inf).
     """
     a = u.coeffs
     if a.size < 64:
@@ -210,10 +182,8 @@ def estimate_min_sobolev(u: InteriorFunction, s_grid) -> ScaleEstimate:
         raise ValueError("empty Sobolev grid")
     mags = np.abs(a)
     if mags.max() > _SQUARE_MAX:
-        raise InvalidDataError(
-            f"coefficient magnitudes up to {mags.max():.3g} overflow when squared; "
-            f"scale placement needs |a_n| <= {_SQUARE_MAX:.3g}"
-        )
+        raise InvalidDataError(f"coefficient magnitudes up to {mags.max():.3g} overflow when "
+                               f"squared; scale placement needs |a_n| <= {_SQUARE_MAX:.3g}")
     passing, curve = _scan_levels(mags, grid)
     if len(passing) == len(grid):
         return ScaleEstimate(max(grid), "entire-side-saturation", curve)
@@ -292,12 +262,6 @@ def build_growth_report(spec: GrowthFamilySpec, s_grid, radii=None) -> GrowthRep
     for s, value in estimate.norm_curve:
         if not math.isfinite(value):
             raise InvalidDataError(f"trace norm of index {s - 0.5} exceeds the float range")
-    return GrowthReport(
-        gamma_fitted=fit.gamma_fitted,
-        c_fitted=fit.c_fitted,
-        r_used=float(1.0 - np.min(np.asarray(radii, dtype=float))),
-        s_min_estimate=estimate.s_min,
-        s_min_flag=estimate.flag,
-        truncation_warning=fit.truncation_warning,
-        norm_curve=estimate.norm_curve,
-    )
+    r_used = float(1.0 - np.min(np.asarray(radii, dtype=float)))
+    return GrowthReport(fit.gamma_fitted, fit.c_fitted, r_used, estimate.s_min, estimate.flag,
+                        fit.truncation_warning, estimate.norm_curve)

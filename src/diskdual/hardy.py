@@ -115,11 +115,6 @@ class ExteriorFunction:
             raise ValueError("Sobolev index must be finite")
         object.__setattr__(self, "index", float(self.index))
 
-    @property
-    def top_order(self) -> int:
-        """Highest pole order stored (0 for the zero function)."""
-        return self.coeffs.size
-
 
 def trace_interior(u: InteriorFunction) -> BoundaryDistribution:
     """Weak boundary value of u: c_n = a_n for n >= 0.  Shares u's array."""

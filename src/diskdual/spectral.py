@@ -19,6 +19,7 @@ pure, so concurrent use needs no locking.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,24 +206,95 @@ def fourier_synthesize(f: BoundaryDistribution, m: int) -> np.ndarray:
     return np.fft.ifft(spectrum) * m
 
 
+# Limits of _weighted_squares; past _MANTISSA_POW in |t| its mantissa power
+# is taken in the log domain, good to about |t| ulps.
+_DIRECT_LOG2, _MANTISSA_POW, _INDEX_MAX = 1000.0, 1000.0, 2.0 ** 53
+
+
+def _weighted_squares(mags: np.ndarray, n_min: int, indices):
+    """Yield (terms, exponent) per index t with terms * 2**exponent = (1 + n^2)^t mags^2.
+
+    ``mags`` holds magnitudes along its last axis at n = n_min, n_min + 1, ...;
+    each row has its own even exponent (shape ``mags.shape[:-1]``) and sums
+    to less than 2^1000.  The yielded buffer is reused for the next index.
+    While |t| log2(1 + max n^2) + log2(size) < 1000 the weights are
+    np.power(1 + n^2, t) and each row is scaled by a power of two, so the
+    terms are the direct expression scaled exactly.  Otherwise every weight
+    and square is split into mantissa and exponent (Blue, ACM TOMS 4(1),
+    1978; Anderson, ACM TOMS 44(1), 2017), the terms are formed relative to
+    the row's largest one, and those below 2^-1074 of it become zero.  An
+    index that is not finite or exceeds 2^53 in magnitude raises
+    :class:`InvalidDataError`.
+    """
+    size = mags.shape[-1]
+    base = np.arange(n_min, n_min + size, dtype=float)
+    base *= base
+    base += 1.0
+    reach, count = math.log2(1 + max(n_min * n_min, (n_min + size - 1) ** 2)), math.log2(size or 1)
+    if mags.ndim == 1:  # scalar shift: a third of the cost on short rows
+        shift = math.frexp(mags.max(initial=0.0))[1]
+        scaled = np.ldexp(mags, -shift)
+    else:
+        shift = np.frexp(mags.max(axis=-1, initial=0.0))[1]
+        scaled = np.ldexp(mags, -shift[..., None])
+    scaled *= scaled
+    weights = np.empty(size)
+    terms, split = weights if mags.ndim == 1 else np.empty(mags.shape), None
+    for t in indices:
+        if not abs(t) <= _INDEX_MAX:
+            raise InvalidDataError(f"Sobolev index {t!r} is not finite or exceeds 2^53 in magnitude")
+        if abs(t) * reach + count < _DIRECT_LOG2:
+            np.power(base, t, out=weights)
+            yield np.multiply(weights, scaled, out=terms), 2 * shift
+            continue
+        if split is None:
+            split = (mb, eb), (squares, ec) = np.frexp(base), np.frexp(mags)
+            squares *= squares
+        whole = math.floor(t)
+        if abs(t) <= _MANTISSA_POW:
+            mant, expo = np.power(mb, t), eb * float(whole)
+        else:
+            expo = t * np.log2(mb)
+            low = np.floor(expo)
+            mant, expo = np.exp2(expo - low), low + eb * float(whole)
+        # 2^(eb t) = 2^(eb whole) (2^eb)^(t - whole), both from exact inputs
+        mant *= np.power(np.ldexp(1.0, eb), t - whole)
+        mant, grow = np.frexp(np.multiply(mant, squares, out=terms))
+        expo = expo + 2.0 * ec + grow
+        top = np.max(expo, axis=-1, where=mags > 0, initial=-2.0 ** 62, keepdims=True)
+        top += top % 2
+        np.ldexp(mant, np.clip(expo - top, -1100, 0).astype(np.intc), out=terms)
+        yield terms, top[..., 0]
+
+
+def _scaled(value: float, exponent, what: str | None = None) -> float:
+    """value * 2**exponent; past the float range inf, or InvalidDataError naming ``what``."""
+    try:
+        return math.ldexp(value, int(exponent))
+    except OverflowError:
+        if what is None:
+            return math.inf
+        raise InvalidDataError(f"{what} exceeds the float range") from None
+
+
+def _norm_parts(mags: np.ndarray, n_min: int, index: float) -> tuple[float, int]:
+    """(root, k) with ( sum_n (1 + n^2)^index mags_n^2 )^(1/2) = root * 2^k."""
+    terms, exponent = next(_weighted_squares(mags, n_min, (index,)))
+    return math.sqrt(terms.sum()), int(exponent) // 2
+
+
 def sobolev_norm(f: BoundaryDistribution, index: float) -> float:
     """Boundary Sobolev norm ( sum_n (1 + n^2)^index |c_n|^2 )^(1/2).
 
-    Any real index is accepted; the weight at n = 0 is 1, so constants have
-    the same norm on every level of the scale.
+    Any real index up to 2^53 in magnitude is accepted; the weight at n = 0
+    is 1, so constants have the same norm on every level of the scale.
+    Weights and squares may leave the float range (see
+    :func:`_weighted_squares`); a norm that does raises
+    :class:`InvalidDataError`.
     """
     index = float(index)
-    if not np.isfinite(index):
-        raise InvalidDataError("Sobolev index must be finite")
-    # (1 + n^2)^index |c_n|^2, formed in place in one buffer.
-    weights = np.arange(f.n_min, f.n_max + 1, dtype=float)
-    weights *= weights
-    weights += 1.0
-    weights **= index
-    squares = np.abs(f.coeffs)
-    squares *= squares
-    weights *= squares
-    return float(np.sqrt(np.sum(weights)))
+    root, scale = _norm_parts(np.abs(f.coeffs), f.n_min, index)
+    return _scaled(root, scale, f"Sobolev norm of index {index}")
 
 
 def l2_pairing(f: BoundaryDistribution, g: BoundaryDistribution) -> complex:

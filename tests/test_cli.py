@@ -207,7 +207,8 @@ def test_growth_coefficient_overflow_is_one_line_without_warnings():
 
 
 def test_growth_weight_overflow_is_refused_without_warnings():
-    # (1 + 512^2)^(s - 1/2) overflows from s = 58 on
+    # (1 + 512^2)^(s - 1/2) overflows from s = 58 on, but the norms fit up to
+    # s = 113; at s = 114 the norm itself is about 2^1031
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -216,8 +217,7 @@ def test_growth_weight_overflow_is_refused_without_warnings():
     assert code == 3
     assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("numerical validity error:")
-    assert "s=58" in lines[0] and "N=512" in lines[0]
+    assert lines == ["numerical validity error: trace norm of index 113.5 exceeds the float range"]
     assert not caught
 
 
@@ -226,8 +226,11 @@ def test_growth_weight_overflow_is_refused_without_warnings():
     (["growth", "--gamma", "5", "--N", "4096", "--s-grid=-4:40"], 0),
     # the dyadic block sums of the default grid overflowed
     (["growth", "--gamma", "40", "--N", "65536"], 0),
-    # the s = 43 norm exceeds the float range although its largest weight does not
-    (["growth", "--gamma", "5", "--N", "4096", "--s-grid=-4:43"], 3),
+    # the s = 83 norm exceeds the float range (about 2^1036)
+    (["growth", "--gamma", "5", "--N", "4096", "--s-grid=-4:83"], 3),
+    # the s = 43 norm, about 2^556, fits although the sum of the weighted
+    # squares scaled by the largest |a_n| alone would overflow
+    (["growth", "--gamma", "5", "--N", "4096", "--s-grid=-4:43"], 0),
 ])
 def test_growth_near_the_float_range_runs_without_warnings(argv, expected):
     out, err = io.StringIO(), io.StringIO()
@@ -242,6 +245,58 @@ def test_growth_near_the_float_range_runs_without_warnings(argv, expected):
     else:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("numerical validity error: trace norm")
+
+
+def _run_quietly(argv):
+    """(exit code, stdout, stderr lines, RuntimeWarnings) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv)
+    return code, out.getvalue(), err.getvalue().splitlines(), caught
+
+
+# every 25th level of [-400, 400] plus levels where the brute-force probes'
+# squares leave the float range first, at one of the three N
+_EDGE_SCALES = sorted(set(range(-400, 401, 25)) | {-26, -35, -55, 55, 65, 105})
+
+
+@pytest.mark.parametrize("n", [32, 256, 1024])
+def test_duality_suite_passes_or_names_the_norm_beyond_the_float_range(n):
+    failing = []
+    for s in _EDGE_SCALES:
+        code, out, lines, caught = _run_quietly(
+            ["verify", "--suite", "duality", "--trials", "2", "--seed", "7", "--s", str(s), "--N", str(n)])
+        assert not caught, (s, caught[0].message)
+        if code == 0:
+            assert json.loads(out)["passed"] is True
+        else:
+            assert (code, out) == (3, ""), (s, code, lines)
+            assert lines == [f"numerical validity error: closed-form dual norm at s={s} "
+                             "exceeds the float range"]
+            failing.append(s)
+    # the dual norm grows like N^(1/2 - s): only the most negative levels leave the range
+    assert failing == _EDGE_SCALES[: len(failing)] and 0 < len(failing) < 14
+
+
+def test_sobolev_norm_inside_the_float_range_is_computed(tmp_path):
+    # degree 64 at index 150: weights up to 2^1800, norm about 2^900
+    path = tmp_path / "u64.json"
+    write_coefficient_file(path, InteriorFunction(np.ones(65)))
+    code, out, lines, caught = _run_quietly(["norm", "--in", str(path), "--sp", "150"])
+    assert (code, lines, caught) == (0, [], [])
+    assert 899 < np.log2(json.loads(out)["sobolev_norm"]) < 901
+    code, out, lines, caught = _run_quietly(["norm", "--in", str(path), "--sp", "400"])
+    assert (code, out, caught) == (3, "", [])
+    assert lines == ["numerical validity error: Sobolev norm of index 400.0 exceeds the float range"]
+
+
+@pytest.mark.parametrize("curve", ["circle:nan", "ellipse:inf,1"])
+def test_non_finite_curve_parameters_are_refused_in_one_line(u_file, v_file, curve):
+    code, out, lines, caught = _run_quietly(["pair", "--u", u_file, "--v", v_file, "--curve", curve])
+    assert (code, out, caught) == (1, "", [])
+    assert len(lines) == 1 and lines[0].startswith("error: curve parameters must be finite")
 
 
 def test_module_entry_point_runs_the_cli():

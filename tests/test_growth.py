@@ -125,6 +125,15 @@ def test_weighted_levels_equal_the_per_level_formula():
         assert estimate_min_sobolev(u, grid).norm_curve == curve
 
 
+def test_underflowing_weights_do_not_decide_the_scale():
+    # (1 + n^2)^(-40.5) underflows from n ~ 2^13 on; the trace norm of index
+    # s - 1/2 converges exactly for s < 1 - gamma = -39
+    u = _family(40.0, degree=65536)
+    est = estimate_min_sobolev(u, range(-40, -19))
+    assert est.s_min == -40 and est.flag == "ok"
+    assert all(np.isfinite(v) and v > 0 for _, v in est.norm_curve)
+
+
 def test_scale_guards():
     with pytest.raises(DegenerateInputError):
         estimate_min_sobolev(InteriorFunction(np.zeros(128)), range(-2, 2))

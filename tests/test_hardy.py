@@ -1,6 +1,7 @@
 """Hardy split, Cauchy transform, traces, jump identity, evaluation."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from diskdual import (
     trace_exterior,
     trace_interior,
 )
-from diskdual import hardy
+from diskdual import hardy, spectral
 
 
 # ---------------------------------------------------------------- traces
@@ -169,6 +170,29 @@ def test_jump_residual_is_exactly_zero_on_spectral_data():
     for _ in range(20):
         f = BoundaryDistribution(-6, rng.standard_normal(13) + 1j * rng.standard_normal(13))
         assert jump_residual(f) == 0.0
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), index=st.floats(-400.0, 400.0, allow_nan=False),
+       span=st.integers(1, 40))
+def test_jump_identity_and_norm_split_on_the_whole_scale(seed, index, span):
+    # u|bd - v_plus|bd = f exactly, and the two traces split ||f||^2 between
+    # them; the norms leave the float range, so they are compared as log2
+    rng = np.random.default_rng(seed)
+    f = BoundaryDistribution(-span, (rng.standard_normal(2 * span + 1) + 1j * rng.standard_normal(
+        2 * span + 1)) * 10.0 ** rng.integers(-3, 4, 2 * span + 1))
+    u, v_plus = hardy_projections(f, boundary_index=index)
+    assert u.index == v_plus.index == index + 0.5
+    residual = trace_interior(u) - trace_exterior(v_plus) - f
+    assert residual.is_zero() and sobolev_norm(residual, index) == 0.0
+
+    def log2_norm(g):
+        root, k = spectral._norm_parts(np.abs(g.coeffs), g.n_min, index)
+        return math.log2(root) + k
+
+    assert 2 * log2_norm(f) == pytest.approx(
+        np.logaddexp2(2 * log2_norm(trace_interior(u)), 2 * log2_norm(trace_exterior(v_plus))),
+        rel=1e-13, abs=1e-12)
 
 
 def test_jump_residual_on_analyzed_smooth_samples():

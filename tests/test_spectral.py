@@ -1,7 +1,12 @@
 """Coefficient algebra: transforms, norms, pairings, and their estimates."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskdual import (
     AliasingError,
@@ -18,6 +23,7 @@ from diskdual import (
     pairing_quadrature,
     sobolev_norm,
 )
+from diskdual import spectral
 
 
 def _grid(m):
@@ -381,3 +387,130 @@ def test_nonzero_window_ignores_signed_zeros_at_both_ends():
     f = BoundaryDistribution(-4, [complex(-0.0, 0.0), 0, 1j, 0, 2.0, complex(0.0, -0.0)])
     assert f.nonzero_window() == (-2, 0)
     assert BoundaryDistribution(3, [complex(-0.0, -0.0), 0]).nonzero_window() is None
+
+
+# ---------------------------------------------------------------- weighted squares
+
+_ULP = 2.0 ** -53
+
+
+def _decimal_terms(mags, n_min, t, exponent):
+    """(1 + n^2)^t mags^2 / 2^exponent to 50 digits, with their sum."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        scale = Decimal(2) ** int(exponent)
+        terms = [Decimal(1 + (n_min + i) ** 2) ** Decimal(t) * Decimal(float(m)) ** 2 / scale
+                 for i, m in enumerate(mags)]
+        return terms, sum(terms)
+
+
+def _assert_within_ulps(terms, exponent, mags, n_min, t, ulps):
+    # terms below the normal range may be rounded to the subnormal grid or flushed
+    reference, total = _decimal_terms(mags, n_min, t, exponent)
+    for got, want in zip(terms, reference):
+        assert abs(Decimal(float(got)) - want) <= Decimal(ulps * _ULP) * want + Decimal(2.0 ** -1074)
+    assert abs(Decimal(float(np.sum(terms))) - total) <= Decimal(ulps * _ULP) * total
+
+
+@pytest.mark.parametrize("t", [-400.0, -150.0, -26.5, 0.0, 26.5, 150.0, 400.0])
+@pytest.mark.parametrize("n_min, size", [(0, 65), (-40, 97)])
+def test_weighted_squares_match_a_50_digit_reference(t, n_min, size):
+    rng = np.random.default_rng(size)
+    mags = np.abs(rng.standard_normal(size)) * 10.0 ** rng.integers(-5, 6, size)
+    terms, exponent = next(spectral._weighted_squares(mags, n_min, (t,)))
+    assert int(exponent) % 2 == 0
+    _assert_within_ulps(terms, exponent, mags, n_min, t, 4)
+
+
+def test_weighted_squares_keep_a_tiny_coefficient_under_a_heavy_weight():
+    # c_0 = 1, c_64 = 1e-160 at index 150: the second term is about 2^737.
+    # Scaling by max |c| alone would square c_64 to 2.5e-321, a subnormal.
+    mags = np.zeros(65)
+    mags[0], mags[64] = 1.0, 1e-160
+    terms, exponent = next(spectral._weighted_squares(mags, 0, (150.0,)))
+    _assert_within_ulps(terms, exponent, mags, 0, 150.0, 4)
+    assert 736 < math.log2(np.sum(terms)) + int(exponent) < 738
+
+
+@pytest.mark.parametrize("t", [-1500.0, 1500.5])
+def test_weighted_squares_beyond_the_mantissa_power_range(t):
+    # the mantissa power is taken in the log domain there, good to about |t| ulps
+    mags = np.abs(np.random.default_rng(3).standard_normal(40))
+    terms, exponent = next(spectral._weighted_squares(mags, -20, (t,)))
+    _assert_within_ulps(terms, exponent, mags, -20, t, 2 * abs(t))
+
+
+def test_weighted_squares_evaluate_rows_and_levels_independently():
+    rng = np.random.default_rng(8)
+    block = np.abs(rng.standard_normal((3, 50))) * np.array([[1e-200], [1.0], [1e200]])
+    levels = (-300.0, 2.0, 300.0)
+    for t, (terms, exponents) in zip(levels, spectral._weighted_squares(block, -5, levels)):
+        for row, got, exponent in zip(block, terms, exponents):
+            alone, alone_exponent = next(spectral._weighted_squares(row, -5, (t,)))
+            assert got.tobytes() == alone.tobytes() and exponent == alone_exponent
+
+
+@pytest.mark.filterwarnings("error")
+def test_zero_data_has_norm_zero_on_the_whole_scale():
+    for index in (-400.0, 0.5, 97.0, 400.0):
+        assert sobolev_norm(BoundaryDistribution(-3, np.zeros(7)), index) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index", [np.nan, np.inf, 2.0 ** 54])
+def test_sobolev_index_out_of_range_is_refused(index):
+    with pytest.raises(InvalidDataError, match="exceeds 2\\^53"):
+        sobolev_norm(BoundaryDistribution.from_modes({0: 1.0, 3: 1.0}), index)
+
+
+# ---------------------------------------------------------------- the whole scale
+# Properties over indices in [-400, 400], where norms leave the float range in
+# both directions; they are compared as log2 of spectral._norm_parts, and
+# that against a log-sum-exp reference that shares no code with it.
+
+_SCALE = st.floats(-400.0, 400.0, allow_nan=False)
+
+
+def _random_distribution(seed, n_min, size):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4, size)
+    return BoundaryDistribution(n_min, (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * scale)
+
+
+def _log2_norm(f, index):
+    """log2 of the Sobolev norm of index ``index``, -inf for zero data."""
+    root, k = spectral._norm_parts(np.abs(f.coeffs), f.n_min, index)
+    if root == 0.0:
+        return -math.inf
+    mags = np.abs(f.coeffs)
+    keep = mags > 0
+    logs = index * np.log2(1.0 + f.frequencies[keep].astype(float) ** 2) + 2.0 * np.log2(mags[keep])
+    top = logs.max()
+    reference = 0.5 * (top + math.log2(np.sum(np.exp2(logs - top))))
+    value = math.log2(root) + k
+    assert abs(value - reference) <= 1e-9 * max(1.0, abs(reference))
+    return value
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), sp=_SCALE, size=st.integers(1, 40), shift=st.integers(-40, 20))
+def test_cauchy_schwarz_with_constant_one_on_the_whole_scale(seed, sp, size, shift):
+    f = _random_distribution(seed, shift, size)
+    g = _random_distribution(seed + 1, shift - 3, size + 3)
+    lhs = abs(l2_pairing(f, g))
+    if lhs > 0:
+        assert math.log2(lhs) <= _log2_norm(f, sp) + _log2_norm(g, -sp) + 1e-9
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), sp=_SCALE, size=st.integers(1, 40))
+def test_koethe_pairing_is_symmetric_and_obeys_the_shift_estimate_on_the_whole_scale(seed, sp, size):
+    # interior f against exterior g: |kappa| <= (5/2)^(|sp|/2) ||f||_sp ||g||_-sp
+    f = _random_distribution(seed, 0, size)
+    g = _random_distribution(seed + 1, -size - 2, size + 2)
+    kappa = koethe_pairing(f, g)
+    terms = sum(abs(f.coefficient(n) * g.coefficient(-1 - n)) for n in range(size))
+    assert abs(kappa - koethe_pairing(g, f)) <= 1e-13 * terms
+    if kappa != 0:
+        bound = abs(sp) / 2 * math.log2(2.5) + _log2_norm(f, sp) + _log2_norm(g, -sp)
+        assert math.log2(abs(kappa)) <= bound + 1e-9
