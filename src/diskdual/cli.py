@@ -83,52 +83,33 @@ def _cmd_gen(args) -> tuple[dict, int]:
 
 def _cmd_norm(args) -> tuple[dict, int]:
     obj = formats.read_coefficient_file(args.infile)
-    f = hardy.boundary_trace(obj)
-    value = spectral.sobolev_norm(f, args.sp)
-    return {
-        "kind": formats.kind_of(obj),
-        "sobolev_index": float(args.sp),
-        "sobolev_norm": value,
-    }, 0
+    value = spectral.sobolev_norm(hardy.boundary_trace(obj), args.sp)
+    return {"kind": formats.kind_of(obj), "sobolev_index": float(args.sp), "sobolev_norm": value}, 0
+
+
+def _cross_check(doc: dict, key: str, args, quadrature) -> tuple[dict, int]:
+    """doc, plus quadrature(curve, grid) under ``key`` and the curve and M when --curve is given."""
+    if args.curve is not None:
+        curve, grid = curves.CurveDescriptor.parse(args.curve), curves.QuadratureGrid(args.m)
+        doc.update({key: _pair(quadrature(curve, grid)), "curve": args.curve, "M": grid.m})
+    return doc, 0
 
 
 def _cmd_pair(args) -> tuple[dict, int]:
-    obj_u = formats.read_coefficient_file(args.u)
-    obj_v = formats.read_coefficient_file(args.v)
+    obj_u, obj_v = formats.read_coefficient_file(args.u), formats.read_coefficient_file(args.v)
     fu, fv = hardy.boundary_trace(obj_u), hardy.boundary_trace(obj_v)
-    doc = {
-        "koethe": _pair(spectral.koethe_pairing(fu, fv)),
-        "l2": _pair(spectral.l2_pairing(fu, fv)),
-    }
-    if args.curve is not None:
-        curve = curves.CurveDescriptor.parse(args.curve)
-        grid = curves.QuadratureGrid(args.m)
-        quad = curves.pairing_quadrature(
-            _node_values(obj_u, curve, grid), _node_values(obj_v, curve, grid), curve, grid
-        )
-        doc["koethe_quadrature"] = _pair(quad)
-        doc["curve"] = args.curve
-        doc["M"] = grid.m
-    return doc, 0
+    doc = {"koethe": _pair(spectral.koethe_pairing(fu, fv)),
+           "l2": _pair(spectral.l2_pairing(fu, fv))}
+    return _cross_check(doc, "koethe_quadrature", args, lambda curve, grid: curves.pairing_quadrature(
+        _node_values(obj_u, curve, grid), _node_values(obj_v, curve, grid), curve, grid))
 
 
 def _cmd_cauchy(args) -> tuple[dict, int]:
     obj = formats.read_coefficient_file(args.infile)
     f = hardy.boundary_trace(obj)
-    doc = {
-        "point": _pair(args.at),
-        "spectral": _pair(hardy.cauchy_transform(f, args.at)),
-    }
-    if args.curve is not None:
-        curve = curves.CurveDescriptor.parse(args.curve)
-        grid = curves.QuadratureGrid(args.m)
-        quad = curves.cauchy_integral_quadrature(
-            _node_values(obj, curve, grid), curve, grid, args.at
-        )
-        doc["quadrature"] = _pair(quad)
-        doc["curve"] = args.curve
-        doc["M"] = grid.m
-    return doc, 0
+    doc = {"point": _pair(args.at), "spectral": _pair(hardy.cauchy_transform(f, args.at))}
+    return _cross_check(doc, "quadrature", args, lambda curve, grid: curves.cauchy_integral_quadrature(
+        _node_values(obj, curve, grid), curve, grid, args.at))
 
 
 def _cmd_project(args) -> tuple[dict, int]:

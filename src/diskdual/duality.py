@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidFamilyError, TruncationError
+from .errors import DegenerateInputError, InvalidDataError, InvalidFamilyError, TruncationError
 from .growth import classify_decay
 from .hardy import ExteriorFunction, InteriorFunction, hardy_projections, trace_exterior, trace_interior
 from .spectral import (BoundaryDistribution, _norm_parts, _require_finite, _scaled, _weighted_squares,
@@ -282,7 +282,11 @@ def norm_ratio_bounds(s: int) -> tuple[float, float]:
     the supremum sitting at m = 2 (not at m = 1, where the quotient is only 2).
     Both bounds are attained by the single-mode representative b_2.
     """
-    spread = 2.5 ** (abs(s - 0.5) / 2.0)
+    try:
+        spread = 2.5 ** (abs(s - 0.5) / 2.0)
+    except OverflowError:
+        raise InvalidDataError(f"dual-norm ratio bound (5/2)^(|s - 1/2|/2) at s={s} "
+                               "exceeds the float range") from None
     return 1.0 / spread, spread
 
 

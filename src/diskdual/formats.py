@@ -19,7 +19,7 @@ identical bytes.
 from __future__ import annotations
 
 import json
-import math
+import sys
 
 import numpy as np
 
@@ -49,6 +49,8 @@ def _array(pairs, what: str) -> np.ndarray:
         arr = np.asarray([complex(re, im) for re, im in pairs], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what}: coeffs must be a list of [re, im] pairs") from exc
+    except OverflowError:  # an integer literal beyond the float range, read like 1e400
+        raise InvalidDataError(f"{what}: non-finite coefficient") from None
     if not np.all(np.isfinite(arr)):
         raise InvalidDataError(f"{what}: non-finite coefficient")
     return arr
@@ -84,7 +86,8 @@ def doc_to_coefficients(doc: dict) -> CoefficientObject:
     if not isinstance(n_min, int):
         raise ValueError("n_min must be an integer")
     index = doc.get("s", 0.0)
-    if not (isinstance(index, (int, float)) and math.isfinite(index)):
+    # compared exactly, so an integer beyond the float range is refused like inf
+    if not (isinstance(index, (int, float)) and abs(index) <= sys.float_info.max):
         raise ValueError("index 's' must be a finite number")
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:

@@ -114,7 +114,9 @@ def growth_family_coeffs(spec: GrowthFamilySpec) -> InteriorFunction:
     np.divide(np.arange(n) + spec.gamma, np.arange(1.0, n + 1.0), out=a[1:])
     a[1:] *= np.conj(spec.z0)
     # A product beyond the float range is reported once, by the container's
-    # finiteness check, not by a stream of numpy warnings.
+    # finiteness check, not by a stream of numpy warnings.  The copy it makes
+    # stays on purpose: handing this array over uncopied was measured to slow
+    # the placement that follows by more than the copy costs.
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumprod(a, out=a)
     return InteriorFunction(a)
@@ -150,16 +152,24 @@ def _converges(weighted: np.ndarray) -> bool:
 
 
 def _tail_fit_residual(mags: np.ndarray) -> float:
+    """RMS residual of the least-squares line log |a_n| ~ p log n + q, n >= max(8, N/2), a_n != 0.
+
+    Closed form, centred: with x, y the logs minus their means, p = (x.y)/(x.x)
+    and the residual is sqrt(mean((y - p x)^2)); fewer than 8 points read 0.0.
+    Only its comparison with ``_FIT_RESIDUAL_MAX`` is used.
+    """
     start = max(8, mags.size // 2)
-    idx = np.arange(start, mags.size)
-    keep = mags[idx] > 0
-    if keep.sum() < 8:
+    tail, n = mags[start:], np.arange(start, mags.size, dtype=float)
+    if not tail.all():
+        tail, n = tail[tail > 0], n[tail > 0]
+    if tail.size < 8:
         return 0.0
-    x = np.log(idx[keep].astype(float))
-    y = np.log(mags[idx][keep])
-    design = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return float(np.sqrt(np.mean((y - design @ coef) ** 2)))
+    x, y = np.log(n, out=n), np.log(tail)
+    x -= x.mean()
+    y -= y.mean()
+    x *= (x @ y) / (x @ x)
+    y -= x
+    return math.sqrt((y @ y) / y.size)
 
 
 def estimate_min_sobolev(u: InteriorFunction, s_grid) -> ScaleEstimate:

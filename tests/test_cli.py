@@ -309,3 +309,36 @@ def test_module_entry_point_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
+
+
+@pytest.mark.parametrize("s", [1600, -1600, 2000, -2000])
+def test_duality_ratio_bound_beyond_the_float_range_is_one_line(s):
+    # (5/2)^(|s - 1/2| / 2) passes the largest double from |s| of about 1550 on
+    code, out, lines, caught = _run_quietly(
+        ["verify", "--suite", "duality", "--trials", "2", "--seed", "7", "--s", str(s), "--N", "32"])
+    assert (code, out, caught) == (3, "", [])
+    assert lines == [f"numerical validity error: dual-norm ratio bound (5/2)^(|s - 1/2|/2) at s={s} "
+                     "exceeds the float range"]
+
+
+def _write_document(tmp_path, coeff, s=None):
+    # spelled by hand: json.dumps cannot write 1e400, and 10**400 must stay an integer literal
+    text = f'{{"kind": "interior", "n_min": 0, "coeffs": [[1, 0], [{coeff}, 0]]'
+    path = tmp_path / "doc.json"
+    path.write_text(text + (f', "s": {s}}}' if s is not None else "}"), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("spelling", ["1" + "0" * 400, "1e400"], ids=["10**400", "1e400"])
+def test_coefficient_beyond_the_float_range_is_non_finite(tmp_path, spelling):
+    code, out, lines, caught = _run_quietly(["norm", "--in", _write_document(tmp_path, spelling), "--sp", "0"])
+    assert (code, out, caught) == (3, "", [])
+    assert lines == ["numerical validity error: interior document: non-finite coefficient"]
+
+
+@pytest.mark.parametrize("spelling", ["1" + "0" * 400, "-1" + "0" * 400, "1e400"],
+                         ids=["10**400", "-10**400", "1e400"])
+def test_index_beyond_the_float_range_is_refused(tmp_path, spelling):
+    code, out, lines, caught = _run_quietly(["norm", "--in", _write_document(tmp_path, 2, spelling), "--sp", "0"])
+    assert (code, out, caught) == (1, "", [])
+    assert lines == ["error: index 's' must be a finite number"]

@@ -1,5 +1,7 @@
 """Growth families, scale placement, pointwise exponents, decay classes."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import binom, poch
@@ -9,6 +11,7 @@ from diskdual import (
     DegenerateInputError,
     GrowthFamilySpec,
     InteriorFunction,
+    InvalidDataError,
     TruncationError,
     classify_decay,
     estimate_min_sobolev,
@@ -157,6 +160,83 @@ def test_irregular_tail_is_inconclusive():
     a = np.exp(np.sqrt(n)) * (1 + 0.5 * np.sin(7 * np.log(n + 1)))
     est = estimate_min_sobolev(InteriorFunction(a), range(-8, 2))
     assert est.flag in ("inconclusive", "below-grid")
+
+
+# ---------------------------------------------------------------- tail fit
+
+
+def _lstsq_residual(mags):
+    """The tail-fit residual by a dense least-squares solve, the reference for the closed form."""
+    idx = np.arange(max(8, mags.size // 2), mags.size)
+    keep = mags[idx] > 0
+    if keep.sum() < 8:
+        return 0.0
+    x, y = np.log(idx[keep].astype(float)), np.log(mags[idx][keep])
+    design = np.vstack([x, np.ones_like(x)]).T
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return float(np.sqrt(np.mean((y - design @ coef) ** 2)))
+
+
+def _tails(size):
+    n = np.arange(size, dtype=float)
+    sparse = (n + 1.0) ** -1.0
+    sparse[::3] = 0.0
+    return {
+        "power": (n + 1.0) ** -2.5,
+        "irregular": (n + 1.0) ** -1.0 * (1.0 + 0.9 * np.sign(np.sin(n / 3.0))),
+        "sparse": sparse,
+        "exponential": np.exp(-0.01 * n),
+        "tiny-steep": 1e-100 * (n + 1.0) ** 40,
+    }
+
+
+@pytest.mark.parametrize("degree", [64, 1000, 4096, 65536])
+@pytest.mark.parametrize("gamma", [0.5, 3.0, 20.0])
+def test_tail_fit_residual_matches_lstsq_on_family_tails(gamma, degree):
+    mags = np.abs(_family(gamma, z0=np.exp(0.7j), degree=degree).coeffs)
+    assert mags.all()  # the fast path: no zero in the tail
+    expected = _lstsq_residual(mags)
+    assert growth._tail_fit_residual(mags) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("size", [64, 1001, 8192])
+@pytest.mark.parametrize("kind", ["power", "irregular", "sparse", "exponential", "tiny-steep"])
+def test_tail_fit_residual_matches_lstsq_with_and_without_zeros(kind, size):
+    mags = np.abs(_tails(size)[kind])
+    expected = _lstsq_residual(mags)
+    assert growth._tail_fit_residual(mags) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+
+def test_tail_fit_needs_eight_positive_tail_entries():
+    mags = np.zeros(128)
+    mags[:64] = 1.0
+    mags[64:71] = np.arange(1.0, 8.0)  # seven positive entries in the tail
+    assert _lstsq_residual(mags) == 0.0
+    assert growth._tail_fit_residual(mags) == 0.0
+    mags[127] = 5.0
+    assert growth._tail_fit_residual(mags) > 0.0
+
+
+@pytest.mark.parametrize("size", [256, 4096])
+def test_the_irregular_sequence_stays_inconclusive(size):
+    a = _tails(size)["irregular"]
+    assert growth._tail_fit_residual(np.abs(a)) > growth._FIT_RESIDUAL_MAX
+    assert estimate_min_sobolev(InteriorFunction(a), range(-3, 4)).flag == "inconclusive"
+
+
+def test_family_coefficients_are_read_only():
+    u = _family(2.5, degree=64)
+    assert not u.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        u.coeffs[0] = 2.0
+    assert u.index == 0.0 and u.degree == 64
+
+
+def test_family_coefficient_overflow_is_refused_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidDataError, match="interior coefficients contain non-finite entries"):
+            _family(100.0, degree=65536)
 
 
 # ---------------------------------------------------------------- pointwise growth
