@@ -15,6 +15,7 @@ how trials are scheduled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -180,11 +181,10 @@ def functional_norm_closed_form(functional: DualFunctional) -> float:
     return _scaled(root, scale, f"closed-form dual norm at s={functional.s}")
 
 
-def _maximizer_coeffs(functional: DualFunctional, size: int) -> np.ndarray:
+def _maximizer_coeffs(b: np.ndarray, s: int, size: int) -> np.ndarray:
     """conj(b_{n+1}) (1 + n^2)^(1/2 - s) for n < size, times the kernel's power-of-two scale."""
-    b = functional.v.coeffs
     a = np.zeros(size, dtype=complex)
-    weights, _ = next(_weighted_squares(np.ones(b.size), 0, (0.5 - functional.s,)))
+    weights, _ = next(_weighted_squares(np.ones(b.size), 0, (0.5 - s,)))
     np.multiply(np.conj(b), weights, out=a[: b.size])
     return a
 
@@ -198,7 +198,9 @@ def functional_norm_bruteforce(
     plus the analytic maximizer a_n = conj(b_{n+1}) (1 + n^2)^(1/2 - s), which
     attains the closed-form norm exactly.  All probes are evaluated as one
     block; each ratio is bit-identical to the one-probe computation with
-    :func:`apply_functional` and :func:`~diskdual.spectral.sobolev_norm`.
+    :func:`apply_functional` against b 2^-e and
+    :func:`~diskdual.spectral.sobolev_norm`, times 2^e, wherever that
+    computation stays inside the float range.
     """
     if iterations < 1:
         raise ValueError("need at least one probe iteration")
@@ -208,22 +210,30 @@ def functional_norm_bruteforce(
             f"probe degree cap {degree_cap} cannot see the representative's support {support}"
         )
     rng = np.random.default_rng(seed)
+    # The probes pair with b 2^-e, max |b| in [2^(e-1), 2^e), which keeps
+    # |F(u)| inside the float range.  Each ratio divides the mantissa of
+    # |F(u)| by the probe's scaled root and only then applies the powers of
+    # two, so no intermediate leaves the float range either (|F(u)| / root
+    # could: the maximizer's entries reach 2^1000, its root 2^-501).
+    b = np.ascontiguousarray(functional.v.coeffs)
+    shift = math.frexp(np.abs(b).max(initial=0.0))[1]
+    b = np.ldexp(b.view(float), -shift).view(complex)
     # (iterations, 2, cap) consumes the stream in the order of one real and
     # one imaginary draw per probe.
     draws = rng.standard_normal((iterations, 2, degree_cap))
     probes = np.empty((iterations + 1, degree_cap), dtype=complex)
-    probes[0] = _maximizer_coeffs(functional, degree_cap)
+    probes[0] = _maximizer_coeffs(b, functional.s, degree_cap)
     probes[1:] = draws[:, 0] + 1j * draws[:, 1]
     _require_finite(probes, "probe coefficients")
     terms, exponents = next(_weighted_squares(np.abs(probes), 0, (functional.s - 0.5,)))
     roots = np.sqrt(terms.sum(axis=1))
-    values = _pair_rows(probes, functional.v.coeffs)
+    values = _pair_rows(probes, b)
     best = 0.0
     # Python's abs of a complex, not np.abs: the two can differ in the last bit.
     for value, root, exponent in zip(values.tolist(), roots.tolist(), exponents.tolist()):
-        denom = _scaled(root, int(exponent) // 2)
-        if denom != 0.0:
-            best = max(best, abs(value) / denom)
+        if root != 0.0:
+            mantissa, scale = math.frexp(abs(value))
+            best = max(best, _scaled(mantissa / root, scale + shift - int(exponent) // 2))
     return best
 
 

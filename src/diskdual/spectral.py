@@ -47,9 +47,10 @@ def _wrap(cls, coeffs: np.ndarray, **fields):
 
     Public constructors copy and validate the caller's array.  Operations
     whose output cannot become non-finite (padding, slicing, traces,
-    negation, the Hardy split) hand their result here instead.  ``coeffs``
-    must be a 1-D, C-contiguous complex array that nothing writes to later;
-    it is made read-only.
+    negation, the Hardy split) hand their result here instead; sums,
+    differences and scalings can overflow and come through :func:`_checked`.
+    ``coeffs`` must be a 1-D, C-contiguous complex array that nothing writes
+    to after the call; it is made read-only.
     """
     coeffs.flags.writeable = False
     obj = object.__new__(cls)
@@ -126,23 +127,28 @@ class BoundaryDistribution:
             arr[n - lo] = c
         return cls(lo, arr)
 
-    def _aligned_with(self, other: "BoundaryDistribution"):
-        lo = min(self.n_min, other.n_min)
-        hi = max(self.n_max, other.n_max)
-        return pad_or_truncate(self, lo, hi), pad_or_truncate(other, lo, hi)
-
     # Sums and products can overflow; the finiteness scan reports that as
     # one InvalidDataError, so numpy's overflow warnings are silenced.
 
-    def __add__(self, other: "BoundaryDistribution") -> "BoundaryDistribution":
-        a, b = self._aligned_with(other)
+    def _combined(self, other: "BoundaryDistribution", op) -> "BoundaryDistribution":
+        """self op other in one union-window array, bit for bit op on the zero-padded operands."""
+        lo = min(self.n_min, other.n_min)
+        out = np.zeros(max(self.n_max, other.n_max) - lo + 1, dtype=complex)
+        out[self.n_min - lo: self.n_max - lo + 1] = self.coeffs
+        start, stop = other.n_min - lo, other.n_max - lo + 1
+        if op is np.add:  # padding adds 0.0 where only self has entries: -0.0 + 0.0 = +0.0
+            out[:start] += 0.0
+            out[stop:] += 0.0
+        run = out[start:stop]
         with np.errstate(over="ignore", invalid="ignore"):
-            return _checked(a.n_min, a.coeffs + b.coeffs)
+            op(run, other.coeffs, out=run)
+        return _checked(lo, out)
+
+    def __add__(self, other: "BoundaryDistribution") -> "BoundaryDistribution":
+        return self._combined(other, np.add)
 
     def __sub__(self, other: "BoundaryDistribution") -> "BoundaryDistribution":
-        a, b = self._aligned_with(other)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _checked(a.n_min, a.coeffs - b.coeffs)
+        return self._combined(other, np.subtract)
 
     def __neg__(self) -> "BoundaryDistribution":
         return _wrap(BoundaryDistribution, -self.coeffs, n_min=self.n_min)
@@ -187,7 +193,8 @@ def fourier_synthesize(f: BoundaryDistribution, m: int) -> np.ndarray:
     m = int(m)
     if m < 2:
         raise InvalidGridError(f"synthesis grid needs at least 2 nodes, got {m}")
-    window = f.nonzero_window()
+    # A stored window the grid resolves needs no scan for its nonzero part.
+    window = None if m >= 2 * max(-f.n_min, f.n_max) + 2 else f.nonzero_window()
     if window is not None:
         span = max(abs(window[0]), abs(window[1]))
         if m < 2 * span + 2:
@@ -203,7 +210,9 @@ def fourier_synthesize(f: BoundaryDistribution, m: int) -> np.ndarray:
         run = spectrum[pos: pos + f.coeffs.size - start]
         np.add(run, f.coeffs[start: start + run.size], out=run)
         start, pos = start + run.size, 0
-    return np.fft.ifft(spectrum) * m
+    values = np.fft.ifft(spectrum)
+    values *= m
+    return values
 
 
 # Limits of _weighted_squares; past _MANTISSA_POW in |t| its mantissa power
@@ -216,20 +225,20 @@ def _weighted_squares(mags: np.ndarray, n_min: int, indices):
 
     ``mags`` holds magnitudes along its last axis at n = n_min, n_min + 1, ...;
     each row has its own even exponent (shape ``mags.shape[:-1]``) and sums
-    to less than 2^1000.  The yielded buffer is reused for the next index.
-    While |t| log2(1 + max n^2) + log2(size) < 1000 the weights are
-    np.power(1 + n^2, t) and each row is scaled by a power of two, so the
-    terms are the direct expression scaled exactly.  Otherwise every weight
-    and square is split into mantissa and exponent (Blue, ACM TOMS 4(1),
+    to less than 2^1000.  The yielded buffer is reused for the next index,
+    and no later index reads it.  While |t| log2(1 + max n^2) + log2(size)
+    < 1000 the weights are np.power(1 + n^2, t) and each row is scaled by a
+    power of two, so the terms are the direct expression scaled exactly.  At
+    t = 0 the weights are exactly 1, so the terms are the scaled squares and
+    the array 1 + n^2 is built only for the first t != 0.  Otherwise every
+    weight and square is split into mantissa and exponent (Blue, ACM TOMS 4(1),
     1978; Anderson, ACM TOMS 44(1), 2017), the terms are formed relative to
     the row's largest one, and those below 2^-1074 of it become zero.  An
     index that is not finite or exceeds 2^53 in magnitude raises
     :class:`InvalidDataError`.
     """
     size = mags.shape[-1]
-    base = np.arange(n_min, n_min + size, dtype=float)
-    base *= base
-    base += 1.0
+    base = None
     reach, count = math.log2(1 + max(n_min * n_min, (n_min + size - 1) ** 2)), math.log2(size or 1)
     if mags.ndim == 1:  # scalar shift: a third of the cost on short rows
         shift = math.frexp(mags.max(initial=0.0))[1]
@@ -243,6 +252,14 @@ def _weighted_squares(mags: np.ndarray, n_min: int, indices):
     for t in indices:
         if not abs(t) <= _INDEX_MAX:
             raise InvalidDataError(f"Sobolev index {t!r} is not finite or exceeds 2^53 in magnitude")
+        if t == 0:  # (1 + n^2)^0 is exactly 1
+            np.copyto(terms, scaled)
+            yield terms, 2 * shift
+            continue
+        if base is None:
+            base = np.arange(n_min, n_min + size, dtype=float)
+            base *= base
+            base += 1.0
         if abs(t) * reach + count < _DIRECT_LOG2:
             np.power(base, t, out=weights)
             yield np.multiply(weights, scaled, out=terms), 2 * shift

@@ -1,5 +1,6 @@
 """Dual functionals: representation, norms, reconstruction, verification suites."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -161,6 +162,20 @@ def test_bruteforce_never_exceeds_closed_form():
         brute = functional_norm_bruteforce(F, 12, iterations=200, seed=5)
         assert brute <= closed + 1e-9
         assert brute >= closed - 1e-6
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b, s", [
+    ([1e300, 1.0], -6), ([1e200, 3.0], 0), ([1e-300, 1e-300], 6),
+    ([1.7e308, 1.0], -6), ([1e-310, 1e-310], 6), ([1e-320], 0),
+])
+def test_bruteforce_pairs_representatives_at_the_ends_of_the_float_range(b, s):
+    # |F(u)| of the maximizer is about |b|^2 (1 + n^2)^(1/2 - s): unscaled it overflows or
+    # underflows, although every norm fits the float range (the last two are subnormal)
+    F = functional_from_exterior(ExteriorFunction(b), s)
+    closed = functional_norm_closed_form(F)
+    assert functional_norm_bruteforce(F, 8, iterations=16, seed=1) == pytest.approx(
+        closed, rel=1e-12, abs=2.0 ** -1070)
 
 
 def test_bruteforce_truncation_guard():
@@ -345,9 +360,17 @@ def _coeff_vectors(min_size, max_size):
 
 
 def _bruteforce_reference(functional, degree_cap, iterations, seed):
-    """The one-probe-at-a-time brute-force norm that the batched version replaced."""
+    """The one-probe-at-a-time brute-force norm that the batched version replaced.
+
+    Probes pair with the representative scaled by 2^-e, max |b| in
+    [2^(e-1), 2^e), and each ratio is scaled back by 2^e.
+    """
+    b = functional.v.coeffs
+    shift = math.frexp(max(np.abs(b), default=0.0))[1]
+    unit = functional_from_exterior(ExteriorFunction(
+        [complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift)) for z in b.tolist()]), functional.s)
     rng = np.random.default_rng(seed)
-    probes = [duality._maximizer_coeffs(functional, degree_cap)]
+    probes = [duality._maximizer_coeffs(unit.v.coeffs, functional.s, degree_cap)]
     for _ in range(iterations):
         probes.append(rng.standard_normal(degree_cap) + 1j * rng.standard_normal(degree_cap))
     best = 0.0
@@ -355,7 +378,7 @@ def _bruteforce_reference(functional, degree_cap, iterations, seed):
         u = InteriorFunction(coeffs, functional.s)
         denom = sobolev_norm(trace_interior(u), functional.s - 0.5)
         if denom != 0.0:
-            best = max(best, abs(apply_functional(functional, u)) / denom)
+            best = max(best, math.ldexp(abs(apply_functional(unit, u)) / denom, shift))
     return best
 
 

@@ -1,6 +1,8 @@
 """Coefficient algebra: transforms, norms, pairings, and their estimates."""
 
+import hashlib
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -17,11 +19,15 @@ from diskdual import (
     QuadratureGrid,
     fourier_analyze,
     fourier_synthesize,
+    hardy_projections,
+    jump_residual,
     koethe_pairing,
     l2_pairing,
     pad_or_truncate,
     pairing_quadrature,
     sobolev_norm,
+    trace_exterior,
+    trace_interior,
 )
 from diskdual import spectral
 
@@ -106,6 +112,17 @@ def test_synthesize_aliasing_guard():
     with pytest.raises(AliasingError):
         fourier_synthesize(f, 6)
     fourier_synthesize(f, 8)  # tight but legal
+
+
+def test_synthesis_of_a_stored_window_wider_than_the_grid_looks_at_its_nonzeros():
+    # the stored window [-40, 40] needs M >= 82; its nonzeros decide the grid
+    core = BoundaryDistribution(-3, [0, 1, 2, 3, 4, 5, 0])
+    padded = pad_or_truncate(core, -40, 40)
+    for m in (6, 8, 12):
+        assert fourier_synthesize(padded, m).tobytes() == fourier_synthesize(core, m).tobytes()
+    stray = BoundaryDistribution.from_modes({-2: 1.0, 2: 1.0, 5: 1e-300})
+    with pytest.raises(AliasingError, match="need M >= 12"):
+        fourier_synthesize(pad_or_truncate(stray, -40, 40), 8)
 
 
 def test_round_trip_on_band_limited_data():
@@ -319,6 +336,61 @@ def test_overflow_is_one_error_without_warnings(compute):
         compute()
 
 
+_SPECIAL = (0.0, -0.0, 1.5, -1.5, 1e308, -1e308)
+_ENTRY = st.one_of(st.sampled_from(_SPECIAL), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _window_pairs(draw):
+    """Two windows (n_min, size) that are equal, nested, overlapping or disjoint."""
+    kind = draw(st.sampled_from(["equal", "nested", "overlapping", "disjoint"]))
+    lo, size = draw(st.integers(-6, 6)), draw(st.integers(1, 8))
+    if kind == "equal":
+        other = (lo, size)
+    elif kind == "nested":
+        start = draw(st.integers(lo, lo + size - 1))
+        other = (start, draw(st.integers(1, lo + size - start)))
+    elif kind == "overlapping":
+        start = draw(st.integers(lo + 1, lo + size)) if size > 1 else lo
+        other = (start, lo + size - start + draw(st.integers(1, 4)))
+    else:
+        other = (lo + size + draw(st.integers(0, 3)), draw(st.integers(1, 8)))
+    pair = [(lo, size), other]
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+def _container(draw, n_min, size):
+    coeffs = np.empty(size, dtype=complex)
+    coeffs.real = draw(st.lists(_ENTRY, min_size=size, max_size=size))
+    coeffs.imag = draw(st.lists(_ENTRY, min_size=size, max_size=size))
+    return BoundaryDistribution(n_min, coeffs)
+
+
+def _zero_padded(f, lo, hi):
+    out = np.zeros(hi - lo + 1, dtype=complex)
+    out[f.n_min - lo: f.n_max - lo + 1] = f.coeffs
+    return out
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), windows=_window_pairs())
+def test_container_sum_and_difference_equal_the_zero_padded_ones_byte_for_byte(data, windows):
+    (fa, fs), (ga, gs) = windows
+    f, g = _container(data.draw, fa, fs), _container(data.draw, ga, gs)
+    lo, hi = min(f.n_min, g.n_min), max(f.n_max, g.n_max)
+    for op, ufunc in ((lambda a, b: a + b, np.add), (lambda a, b: a - b, np.subtract)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = ufunc(_zero_padded(f, lo, hi), _zero_padded(g, lo, hi))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not np.all(np.isfinite(reference)):
+                with pytest.raises(InvalidDataError, match="non-finite"):
+                    op(f, g)
+                continue
+            result = op(f, g)
+        assert result.n_min == lo and result.coeffs.tobytes() == reference.tobytes()
+
+
 def test_analysis_refuses_samples_that_are_not_one_dimensional():
     with pytest.raises(ValueError, match="1-D"):
         fourier_analyze(np.ones((2, 4)))
@@ -450,6 +522,23 @@ def test_weighted_squares_evaluate_rows_and_levels_independently():
             assert got.tobytes() == alone.tobytes() and exponent == alone_exponent
 
 
+@pytest.mark.parametrize("rows", [(), (3,)])
+def test_weighted_squares_at_index_zero_between_other_indices(rows):
+    # index 0 skips the weights; every index equals its own single-index call,
+    # also after the caller overwrites the buffer it was handed
+    rng = np.random.default_rng(13)
+    mags = np.abs(rng.standard_normal(rows + (33,))) * 10.0 ** rng.integers(-3, 4, rows + (33,))
+    n = np.arange(-16, 17, dtype=float)
+    levels = (0.0, 1.5, 0.0, -2.0)
+    for t, (terms, exponents) in zip(levels, spectral._weighted_squares(mags, -16, levels)):
+        alone, alone_exponents = next(spectral._weighted_squares(mags, -16, (t,)))
+        assert terms.tobytes() == alone.tobytes() and np.array_equal(exponents, alone_exponents)
+        if t == 0:
+            shift = np.asarray(exponents)[..., None] // 2
+            assert terms.tobytes() == (np.power(1.0 + n * n, t) * np.ldexp(mags, -shift) ** 2).tobytes()
+        terms[...] = np.nan
+
+
 @pytest.mark.filterwarnings("error")
 def test_zero_data_has_norm_zero_on_the_whole_scale():
     for index in (-400.0, 0.5, 97.0, 400.0):
@@ -514,3 +603,31 @@ def test_koethe_pairing_is_symmetric_and_obeys_the_shift_estimate_on_the_whole_s
     if kappa != 0:
         bound = abs(sp) / 2 * math.log2(2.5) + _log2_norm(f, sp) + _log2_norm(g, -sp)
         assert math.log2(abs(kappa)) <= bound + 1e-9
+
+
+# ---------------------------------------------------------------- golden round trip
+# sha256 of analyze -> split -> traces subtracted and added -> synthesize on 2M,
+# with the jump residual and three Sobolev norms, taken before container sums
+# were formed in one array and synthesis scaled in place; both keep every byte.
+
+ROUND_TRIP_GOLDEN = {
+    2 ** 12: "e071bf94366701ad089065bc1e5e5edccd98f6ceac0779318cb08e49d036ac57",
+    2 ** 16: "dc6f0bbddeadc95a794f5433e85cb8f8152d1480a02d952eabdfb59e802010eb",
+}
+
+
+@pytest.mark.parametrize("m", sorted(ROUND_TRIP_GOLDEN))
+def test_round_trip_is_byte_identical_to_the_golden_digest(m):
+    rng = np.random.default_rng(2026)
+    f = fourier_analyze(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    u, v_plus = hardy_projections(f)
+    jump = trace_interior(u) - trace_exterior(v_plus)
+    both = trace_interior(u) + trace_exterior(v_plus)
+    digest = hashlib.sha256()
+    for part in (f, jump, both):
+        digest.update(repr(part.n_min).encode())
+        digest.update(part.coeffs.tobytes())
+    digest.update(fourier_synthesize(jump, 2 * m).tobytes())
+    norms = (jump_residual(f), sobolev_norm(f, 0.0), sobolev_norm(f, 1.0), sobolev_norm(f, -0.5))
+    digest.update(repr(norms).encode())
+    assert digest.hexdigest() == ROUND_TRIP_GOLDEN[m]
