@@ -49,6 +49,13 @@ def _parse_int_grid(text: str) -> list[int]:
     return [int(p) for p in text.split(",")]
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _parse_radii(text: str) -> list[float]:
     return [float(p) for p in text.split(",")]
 
@@ -154,8 +161,8 @@ def build_parser() -> _Parser:
     mode.add_argument("--random", choices=("boundary", "interior", "exterior"))
     gen.add_argument("--gamma", type=float, default=1.0)
     gen.add_argument("--z0", type=_parse_complex, default=complex(1.0, 0.0))
-    gen.add_argument("--N", dest="n", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--N", dest="n", type=non_negative_int, required=True)
+    gen.add_argument("--seed", type=non_negative_int, default=None)
     gen.set_defaults(handler=_cmd_gen)
 
     norm = sub.add_parser("norm", help="boundary Sobolev norm of a coefficient file")
@@ -191,8 +198,8 @@ def build_parser() -> _Parser:
     verify.add_argument("--suite", choices=("duality", "scale"), required=True)
     verify.add_argument("--s", type=int, default=0)
     verify.add_argument("--trials", type=int, default=100)
-    verify.add_argument("--N", dest="n", type=int, default=32)
-    verify.add_argument("--seed", type=int, required=True)
+    verify.add_argument("--N", dest="n", type=non_negative_int, default=32)
+    verify.add_argument("--seed", type=non_negative_int, required=True)
     verify.add_argument("--direction", choices=duality.SCALE_DIRECTIONS,
                         default="interior-finite-order")
     verify.set_defaults(handler=_cmd_verify)

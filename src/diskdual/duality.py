@@ -49,10 +49,6 @@ __all__ = [
 
 RATIO_SLACK = 1e-12
 TAIL_RELATIVE_BOUND = 1e-10
-# Moment probing materializes the identity probe matrix one row block at a
-# time; a block stays within this many bytes, so a large probe degree does
-# not raise peak memory.
-PROBE_BLOCK_BYTES = 1 << 20
 # Rounding bounds of the duality suite scale with the magnitudes involved:
 # the surjectivity error with the largest sum_n |a_n b_{n+1}| of a trial, the
 # brute-force deviation with the largest closed-form norm of the run.  The
@@ -81,23 +77,25 @@ class DualFunctional:
         object.__setattr__(self, "s", _integer_scale(self.s))
 
     def __call__(self, u: InteriorFunction):
-        """F(u) as a black-box oracle; a probe block is answered for all its rows at once."""
+        """F(u) as a black-box oracle; a probe is answered with all its moments at once."""
         if isinstance(u, _ProbeBlock):
-            # Identity rows hold a single 1, so the BLAS product is exact.
-            k = min(u.rows.shape[1], self.v.coeffs.size)
-            return u.rows[:, :k] @ self.v.coeffs[:k]
+            # kappa(z^n, v) = b_{n+1}; + 0.0 makes -0.0 read +0.0, as apply_functional's sum does
+            values = np.zeros(u.count, dtype=complex)
+            k = min(u.count, self.v.coeffs.size)
+            values[:k] = self.v.coeffs[:k] + 0.0
+            return values
         return apply_functional(self, u)
 
 
 @dataclass(frozen=True, eq=False)
 class _ProbeBlock(InteriorFunction):
-    """The monomial z^n that opens a block of identity probe rows, with the rows attached.
+    """The monomial z^0 of a moment probe, marked with the number of moments wanted.
 
-    To a scalar oracle it is the trimmed monomial z^n; a :class:`DualFunctional`
-    answers every row of ``rows`` (z^n, z^(n+1), ...) in one array operation.
+    To a scalar oracle it is the constant 1; a :class:`DualFunctional`
+    answers F(z^n) for every n < ``count`` with one array.
     """
 
-    rows: np.ndarray | None = None
+    count: int = 0
 
 
 @dataclass(frozen=True)
@@ -246,28 +244,19 @@ def reconstruct_exterior_from_blackbox(
     oracle is the pairing against an exterior function supported within
     degree_cap; in particular the zero oracle returns the zero function.
 
-    The probes are the rows of the identity matrix, walked in row blocks of
-    at most ``PROBE_BLOCK_BYTES``.  The oracle first receives the block's
-    opening monomial; a :class:`DualFunctional` answers the whole block with
-    one array operation, while any other oracle returns a scalar and then
-    receives the block's remaining monomials one at a time.  Every monomial
-    z^n is trimmed to its n + 1 coefficients.
+    The oracle first receives z^0 marked as a probe for all degree_cap
+    moments; a :class:`DualFunctional` answers it with one array, so the
+    reconstruction costs O(degree_cap) time and memory.  Any other oracle
+    returns a scalar and then receives each monomial z^n, trimmed to its
+    n + 1 coefficients, one at a time.
     """
     if degree_cap < 1:
         raise ValueError("need a positive probe degree")
-    b = np.empty(degree_cap, dtype=complex)
-    rows = max(1, PROBE_BLOCK_BYTES // (16 * degree_cap))
-    for start in range(0, degree_cap, rows):
-        stop = min(start + rows, degree_cap)
-        block = np.eye(stop - start, stop, k=start, dtype=complex)
-        values = evaluate(_ProbeBlock(block[0, : start + 1], s, rows=block))
-        if np.ndim(values) == 1:
-            b[start:stop] = values
-            continue
-        b[start] = complex(values)
-        for n in range(start + 1, stop):
-            b[n] = complex(evaluate(InteriorFunction(block[n - start, : n + 1], s)))
-    return ExteriorFunction(b, 1 - int(s))
+    values = evaluate(_ProbeBlock(np.ones(1), s, count=degree_cap))
+    if np.ndim(values) != 1:
+        values = [complex(values)] + [complex(evaluate(InteriorFunction(np.eye(1, n + 1, n)[0], s)))
+                                      for n in range(1, degree_cap)]
+    return ExteriorFunction(values, 1 - int(s))
 
 
 def dual_norm_trace_ratio(v: ExteriorFunction, s: int) -> float | None:
@@ -378,6 +367,8 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if degree_cap < 1:
+        raise ValueError("need a positive probe degree")
     s = _integer_scale(s)
     children = np.random.SeedSequence(seed).spawn(trials)
     lower, upper = norm_ratio_bounds(s)

@@ -342,3 +342,31 @@ def test_index_beyond_the_float_range_is_refused(tmp_path, spelling):
     code, out, lines, caught = _run_quietly(["norm", "--in", _write_document(tmp_path, 2, spelling), "--sp", "0"])
     assert (code, out, caught) == (1, "", [])
     assert lines == ["error: index 's' must be a finite number"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    ("gen --random interior --N -1 --seed 1", "--N", -1),
+    ("gen --random interior --N -7 --seed 1", "--N", -7),
+    ("gen --random boundary --N -1 --seed 1", "--N", -1),
+    ("gen --random exterior --N -2 --seed 1", "--N", -2),
+    ("gen --random interior --N 4 --seed -1", "--seed", -1),
+    ("verify --suite duality --N -5 --seed 1", "--N", -5),
+    ("verify --suite duality --seed -1", "--seed", -1),
+    ("verify --suite scale --N 64 --seed -1", "--seed", -1),
+])
+def test_negative_size_or_seed_is_one_line_naming_the_flag(argv, flag, value):
+    code, out, lines, caught = _run_quietly(argv.split())
+    assert (code, out, caught) == (1, "", [])
+    assert lines == [f"usage error: argument {flag}: expected a non-negative integer, got {value}"]
+
+
+def test_zero_probe_degree_is_refused_in_one_line():
+    code, out, lines, caught = _run_quietly(["verify", "--suite", "duality", "--N", "0", "--seed", "1"])
+    assert (code, out, lines, caught) == (1, "", ["error: need a positive probe degree"], [])
+
+
+@pytest.mark.parametrize("kind", ["interior", "exterior"])
+def test_zero_size_random_documents_stay_valid(kind):
+    code, out, lines, caught = _run_quietly(["gen", "--random", kind, "--N", "0", "--seed", "1"])
+    assert (code, lines, caught) == (0, [], [])
+    assert json.loads(out)["kind"] == kind

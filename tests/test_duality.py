@@ -1,6 +1,7 @@
 """Dual functionals: representation, norms, reconstruction, verification suites."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -232,8 +233,7 @@ def test_scalar_oracle_receives_trimmed_monomials():
         seen.append((type(u), u.coeffs.copy(), u.index))
         return complex(len(seen))
 
-    with mock.patch.object(duality, "PROBE_BLOCK_BYTES", 16 * 7 * 3):
-        v = reconstruct_exterior_from_blackbox(oracle, 7, s=2)   # blocks of 3, 3 and 1 rows
+    v = reconstruct_exterior_from_blackbox(oracle, 7, s=2)
     np.testing.assert_array_equal(v.coeffs, np.arange(1, 8))
     for n, (kind, coeffs, index) in enumerate(seen):
         assert issubclass(kind, InteriorFunction) and index == 2.0
@@ -413,18 +413,67 @@ def test_batched_bruteforce_equals_the_probe_loop(b, extra, s, iterations, seed)
         _bruteforce_reference(functional, cap, iterations, seed)
 
 
+# signed zeros, subnormals and values near the float limit, or Gaussians
+_edge = st.sampled_from([0.0, -0.0, 1.5, -1.5, 1e-310, -1e-310, 1e308, -1e308])
+_probe_vectors = st.one_of(
+    st.integers(1, 300).flatmap(
+        lambda k: arrays(np.complex128, k, elements=st.builds(complex, _edge, _edge))),
+    st.tuples(st.integers(1, 300), st.integers(0, 2 ** 32 - 1)).map(
+        lambda t: duality.complex_normal(np.random.default_rng(t[1]), t[0])),
+)
+
+
 @settings(deadline=None, max_examples=40)
-@given(b=_coeff_vectors(1, 300), cap=st.integers(1, 400), block_bytes=st.integers(1, 1 << 14))
-def test_reconstruction_is_exact_for_any_cap_and_block_size(b, cap, block_bytes):
-    # cap may be below the support, and need not be a multiple of the block rows
+@given(b=_probe_vectors, cap=st.integers(1, 400))
+def test_reconstruction_is_exact_for_any_cap_and_block_size(b, cap):
+    # cap may be below the support; a zero part of either sign reads +0.0,
+    # as the pairing's sum gives it
     functional = functional_from_exterior(ExteriorFunction(b), 0)
+    parts = b[:cap].view(float).copy()
+    parts[parts == 0.0] = 0.0
     expected = np.zeros(cap, dtype=complex)
-    expected[: min(cap, b.size)] = b[:cap]
-    with mock.patch.object(duality, "PROBE_BLOCK_BYTES", block_bytes):
-        batched = reconstruct_exterior_from_blackbox(functional, cap)
-        scalar = reconstruct_exterior_from_blackbox(lambda u: apply_functional(functional, u), cap)
-    assert np.array_equal(batched.coeffs, expected)
-    assert np.array_equal(scalar.coeffs, expected)
+    expected[: min(cap, b.size)] = parts.view(complex)
+    batched = reconstruct_exterior_from_blackbox(functional, cap)
+    scalar = reconstruct_exterior_from_blackbox(lambda u: apply_functional(functional, u), cap)
+    assert batched.coeffs.tobytes() == expected.tobytes()
+    assert scalar.coeffs.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cap", [1, 7, 1024, 5000])
+def test_dual_functional_is_probed_once_per_reconstruction(cap):
+    v = ExteriorFunction(duality.complex_normal(np.random.default_rng(cap), 9))
+    functional = functional_from_exterior(v, 1)
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return functional(u)
+
+    wrapped = reconstruct_exterior_from_blackbox(counting, cap, 1)
+    with mock.patch.object(DualFunctional, "__call__", autospec=True,
+                           side_effect=DualFunctional.__call__) as direct:
+        plain = reconstruct_exterior_from_blackbox(functional, cap, 1)
+    assert len(calls) == 1 and direct.call_count == 1
+    assert wrapped.coeffs.tobytes() == plain.coeffs.tobytes()
+
+
+def test_reconstruction_memory_is_linear_in_the_cap():
+    cap = 1 << 12
+    v = ExteriorFunction(duality.complex_normal(np.random.default_rng(3), cap))
+    functional = functional_from_exterior(v, 0)
+    tracemalloc.start()
+    try:
+        reconstruct_exterior_from_blackbox(functional, cap)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 16 * cap
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_duality_suite_refuses_a_non_positive_probe_degree(cap):
+    with pytest.raises(ValueError, match="need a positive probe degree"):
+        verify_duality_isomorphism(0, 1, cap, 1)
 
 
 @settings(deadline=None)
