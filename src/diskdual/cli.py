@@ -233,7 +233,7 @@ def run(argv) -> int:
     except NumericsError as exc:
         print(f"numerical validity error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, MemoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(text)

@@ -57,6 +57,8 @@ TAIL_RELATIVE_BOUND = 1e-10
 SURJECTIVITY_BOUND_FLOOR, SURJECTIVITY_RELATIVE_BOUND = 1e-12, 1e-14
 BRUTEFORCE_BOUND_FLOOR, BRUTEFORCE_RELATIVE_BOUND = 1e-6, 1e-12
 SCALE_DIRECTIONS = ("interior-finite-order", "exterior-finite-order")
+# A power below 2^-_UNDERFLOW_BITS rounds to zero: half the smallest subnormal is 2^-1075.
+_UNDERFLOW_BITS = 1100
 
 
 def _integer_scale(s) -> int:
@@ -317,6 +319,12 @@ def pairing_tail_certificate(
     super-polynomially; it is classified first and an
     :class:`InvalidFamilyError` is raised when it does not, which is what
     rejects the divergent polynomial-against-polynomial configuration.
+
+    The decay ratio is the largest ratio of neighbouring terms on the second
+    half of the support.  A term enters a ratio only when it and its factors
+    |a_n| and |b_n| are all at least ``np.finfo(float).tiny``: a subnormal
+    number carries fewer than 53 bits, so a ratio formed from one is rounding,
+    not decay.  Without such a pair of terms the ratio is 0.
     """
     a = np.asarray(interior_coeffs, dtype=complex)
     b = np.asarray(exterior_coeffs, dtype=complex)
@@ -337,8 +345,9 @@ def pairing_tail_certificate(
         raise DegenerateInputError("pairing terms vanish identically")
     window = terms[size // 2:]
     share = float(window.sum() / total)
-    positive = window > 0
-    both = positive[1:] & positive[:-1]
+    tiny, half = np.finfo(float).tiny, slice(size // 2, size)
+    normal = (window >= tiny) & (np.abs(a[half]) >= tiny) & (np.abs(b[half]) >= tiny)
+    both = normal[1:] & normal[:-1]
     ratios = window[1:][both] / window[:-1][both]
     decay = float(ratios.max()) if ratios.size else 0.0
     if decay >= 1.0 - 1e-6:
@@ -435,14 +444,27 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
 
 
 def _scale_families(direction: str, size: int, rng: np.random.Generator):
-    """Managed families: one side polynomially growing, the other geometric."""
+    """Managed families: one side polynomially growing, the other geometric.
+
+    The polynomial side is (n + 1)^power e^(2 pi i t_n), the geometric side
+    rho^(n + 1) e^(2 pi i t'_n), with random phases.  The geometric side is
+    computed only on its representable prefix n < k, k = ceil(1100 / log2(1/rho)):
+    past it rho^(n + 1) < 2^-1100, below half the smallest subnormal (2^-1075),
+    so the power rounds to zero and the entries are stored as exact zeros.
+    """
     power = int(rng.integers(1, 3))
     rho = float(rng.uniform(0.3, 0.5))
     n = np.arange(size, dtype=float)
     phases_a = np.exp(2j * np.pi * rng.random(size))
-    phases_b = np.exp(2j * np.pi * rng.random(size))
+    turns_b = rng.random(size)
     polynomial = (n + 1.0) ** power * phases_a
-    geometric = rho ** (n + 1.0) * phases_b
+    # Past k the entries are +0, where the underflowed power times the phase
+    # would give zeros of either sign.  Only magnitudes enter the report (the
+    # terms |a_n b_n| and classify_decay of the smooth side), so its bytes are
+    # the same either way.
+    k = math.ceil(_UNDERFLOW_BITS / -math.log2(rho))
+    geometric = np.zeros(size, dtype=complex)
+    geometric[:k] = rho ** (n[:k] + 1.0) * np.exp(2j * np.pi * turns_b[:k])
     if direction == "interior-finite-order":
         return polynomial, geometric, "exterior"
     return geometric, polynomial, "interior"

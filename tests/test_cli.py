@@ -370,3 +370,19 @@ def test_zero_size_random_documents_stay_valid(kind):
     code, out, lines, caught = _run_quietly(["gen", "--random", kind, "--N", "0", "--seed", "1"])
     assert (code, lines, caught) == (0, [], [])
     assert json.loads(out)["kind"] == kind
+
+
+# 2^50 entries of 8 or 16 bytes lie beyond a 48-bit address space, so the
+# allocation is refused before any memory is touched.
+@pytest.mark.parametrize("argv", [
+    "gen --random exterior --N 1125899906842624 --seed 1",
+    "gen --random interior --N 1125899906842624 --seed 1",
+    "verify --suite scale --N 1125899906842624 --seed 1",
+    "verify --suite duality --N 1125899906842624 --seed 1",
+    "growth --gamma 1 --N 1125899906842624",
+])
+def test_size_too_large_to_allocate_is_one_line(argv):
+    code, out, lines, caught = _run_quietly(argv.split())
+    assert (code, out, caught) == (1, "", [])
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "allocate" in lines[0]

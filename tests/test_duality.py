@@ -1,5 +1,6 @@
 """Dual functionals: representation, norms, reconstruction, verification suites."""
 
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from diskdual import duality
+from diskdual import duality, formats
 
 from diskdual import (
     BoundaryDistribution,
@@ -336,6 +337,97 @@ def test_scale_suite_rejects_override_with_nondecaying_smooth_side():
             "interior-finite-order", 64, seed=3,
             interior_coeffs=n + 1.0, exterior_coeffs=(n + 1.0) ** 2,
         )
+
+
+# sha256 of the canonical report documents for seeds _SCALE_SEEDS, in order,
+# as computed with the geometric family evaluated over its whole range
+_SCALE_SEEDS = (0, 3, 15, 77, 9201)
+_SCALE_DIGESTS = {
+    ("interior-finite-order", 64): "d648eeb243ffa6e6949fc905528ed6759817c5a6a8f68661410fa07ed15cee3b",
+    ("interior-finite-order", 512): "c8aa50685c93ed60daa2c3d8e8acd8ce912dcca280a3da27c98127d89d56e644",
+    ("interior-finite-order", 4096): "0ab603c677f3a08402a33410d5964973e8e99e174f4dbcc969f77302aa7a82e9",
+    ("interior-finite-order", 65536): "0ab603c677f3a08402a33410d5964973e8e99e174f4dbcc969f77302aa7a82e9",
+    ("exterior-finite-order", 64): "abaf9603166ed8dbb18ed2d06668f4a0420551dc07dc2e5242eb12a404e2156f",
+    ("exterior-finite-order", 512): "e4b271e10556be791bb59401e3e6fb8ab00c2b9e7a1002e4f745a3bb9fce5a98",
+    ("exterior-finite-order", 4096): "610e3f7aa60ca418044f04031950186bca4700ad1860121ba252e01303f8d7a6",
+    ("exterior-finite-order", 65536): "610e3f7aa60ca418044f04031950186bca4700ad1860121ba252e01303f8d7a6",
+}
+
+
+@pytest.mark.parametrize("direction, size", sorted(_SCALE_DIGESTS))
+def test_scale_pairing_reports_are_unchanged(direction, size):
+    digest = hashlib.sha256()
+    for seed in _SCALE_SEEDS:
+        digest.update(formats.canonical_json(verify_scale_pairing(direction, size, seed).to_doc()).encode())
+    assert digest.hexdigest() == _SCALE_DIGESTS[direction, size]
+
+
+class _PinnedRho:
+    """A seeded generator whose ``uniform`` draw is consumed but answered with rho."""
+
+    def __init__(self, seed, rho):
+        self._rng, self._rho = np.random.default_rng(seed), rho
+
+    def integers(self, *args):
+        return self._rng.integers(*args)
+
+    def uniform(self, *args):
+        self._rng.uniform(*args)
+        return self._rho
+
+    def random(self, size):
+        return self._rng.random(size)
+
+
+def _families_in_full(seed, size, rho=None):
+    """Both managed families computed over the whole range, from the same draws."""
+    rng = np.random.default_rng(seed)
+    power = int(rng.integers(1, 3))
+    drawn = float(rng.uniform(0.3, 0.5))
+    rho = drawn if rho is None else rho
+    n = np.arange(size, dtype=float)
+    phases_a = np.exp(2j * np.pi * rng.random(size))
+    phases_b = np.exp(2j * np.pi * rng.random(size))
+    return (n + 1.0) ** power * phases_a, rho ** (n + 1.0) * phases_b
+
+
+@pytest.mark.parametrize("rho", [0.3, float(np.nextafter(0.5, 0.0)), None])
+@pytest.mark.parametrize("seed", range(50))
+def test_geometric_family_keeps_its_magnitudes_past_the_underflow_point(seed, rho):
+    size = 2048
+    rng = np.random.default_rng(seed) if rho is None else _PinnedRho(seed, rho)
+    a, b, smooth_side = duality._scale_families("interior-finite-order", size, rng)
+    polynomial, geometric = _families_in_full(seed, size, rho)
+    assert smooth_side == "exterior"
+    assert a.tobytes() == polynomial.tobytes()
+    assert np.array_equal(np.abs(b), np.abs(geometric))
+    swapped = duality._scale_families("exterior-finite-order", size, np.random.default_rng(seed))
+    assert swapped[2] == "interior"
+    assert np.array_equal(np.abs(swapped[0]), np.abs(_families_in_full(seed, size)[1]))
+
+
+@pytest.mark.parametrize("size", [1000, 2048])
+@pytest.mark.parametrize("direction", ["interior-finite-order", "exterior-finite-order"])
+def test_scale_suite_passes_where_the_geometric_side_turns_subnormal(direction, size):
+    for seed in range(50):
+        report = verify_scale_pairing(direction, size, seed)
+        assert report.passed, (seed, report.to_doc())
+
+
+@pytest.mark.parametrize("finite_order_scale", [1.0, 2.0 ** 80])
+def test_tail_ratios_skip_subnormal_factors(finite_order_scale):
+    # b_n = 2^(-20 n) is normal up to n = 47; past it the stored values are
+    # growing subnormals, whose ratios are rounding, not decay.  With the
+    # scale 2^80 the terms stay normal and only the factor b_n is subnormal.
+    n = np.arange(64)
+    b = np.where(n < 48, 2.0 ** (-20.0 * n), 2.0 ** -1074 * (n - 46))
+    a = finite_order_scale * (n + 1.0)
+    terms = np.abs(a * b)
+    expected = max(terms[k + 1] / terms[k] for k in range(32, 47))
+    for cert in (pairing_tail_certificate(a, b, smooth_side="exterior"),
+                 pairing_tail_certificate(b, a, smooth_side="interior")):
+        assert cert.decay_ratio == expected
+        assert cert.decay_ratio < 2.0 ** -19
 
 
 def test_trace_ratio_uses_half_shifted_norm():
