@@ -12,6 +12,7 @@ bytes are identical run to run.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -32,11 +33,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"expected 're,im', got {text!r}")
+    if len(parts) not in (1, 2):
+        raise ValueError(f"expected 're,im', got {text!r}")
+    z = complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"expected finite 're,im', got {text!r}")
+    return z
 
 
 def _parse_int_grid(text: str) -> list[int]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidDataError, InvalidFamilyError, TruncationError
 from .growth import classify_decay
-from .hardy import ExteriorFunction, InteriorFunction, hardy_projections, trace_exterior, trace_interior
+from .hardy import ExteriorFunction, InteriorFunction, hardy_projections, trace_interior
 from .spectral import (BoundaryDistribution, _norm_parts, _require_finite, _scaled, _weighted_squares,
                        koethe_pairing)
 
@@ -57,8 +57,24 @@ TAIL_RELATIVE_BOUND = 1e-10
 SURJECTIVITY_BOUND_FLOOR, SURJECTIVITY_RELATIVE_BOUND = 1e-12, 1e-14
 BRUTEFORCE_BOUND_FLOOR, BRUTEFORCE_RELATIVE_BOUND = 1e-6, 1e-12
 SCALE_DIRECTIONS = ("interior-finite-order", "exterior-finite-order")
+# The smallest scale-pairing size.  The managed families' worst second-half
+# window share (rho in [0.3, 0.5), power 1 or 2) is 8.3e-4 at N = 32, 6.7e-6
+# at 48 and 4.5e-8 at 64, so 64 is the smallest power of two whose every
+# draw meets the share bound of 1e-6.
+_SCALE_MIN_SIZE = 64
 # A power below 2^-_UNDERFLOW_BITS rounds to zero: half the smallest subnormal is 2^-1075.
 _UNDERFLOW_BITS = 1100
+# The isomorphism suite's random brute-force probes per trial.
+_SUITE_ITERATIONS = 8
+# The isomorphism suite evaluates its trials in blocks whose brute-force
+# probe rows, (_SUITE_ITERATIONS + 1) N complex numbers a trial and the
+# block's largest array, take at most this many bytes; a trial larger than
+# that forms a block alone.  Stacking saves numpy's per-call cost, most of a
+# trial's time at small N, but a block's arrays (about five times its probe
+# rows) must stay small: unbounded, 200 trials at N = 16384 took 1.5 GB and
+# ran slower than one trial at a time.  On a 2-vCPU Xeon with a 2 MB L2,
+# budgets of 1-2 MB ran fastest from N = 32 to 4096; 8 MB ran slower.
+_BLOCK_BYTES = 1 << 20
 
 
 def _integer_scale(s) -> int:
@@ -181,12 +197,49 @@ def functional_norm_closed_form(functional: DualFunctional) -> float:
     return _scaled(root, scale, f"closed-form dual norm at s={functional.s}")
 
 
-def _maximizer_coeffs(b: np.ndarray, s: int, size: int) -> np.ndarray:
-    """conj(b_{n+1}) (1 + n^2)^(1/2 - s) for n < size, times the kernel's power-of-two scale."""
-    a = np.zeros(size, dtype=complex)
-    weights, _ = next(_weighted_squares(np.ones(b.size), 0, (0.5 - s,)))
-    np.multiply(np.conj(b), weights, out=a[: b.size])
-    return a
+def _maximizer_weights(s: int, size: int) -> np.ndarray:
+    """(1 + n^2)^(1/2 - s) for n < size, times the kernel's power-of-two scale."""
+    return next(_weighted_squares(np.ones(size), 0, (0.5 - s,)))[0]
+
+
+def _bruteforce_rows(b: np.ndarray, mags: np.ndarray, s: int, degree_cap: int, iterations: int,
+                     seeds, weights: np.ndarray) -> list[float]:
+    """:func:`functional_norm_bruteforce` for each row of representatives ``b``.
+
+    ``mags`` is |b|, ``seeds`` holds one probe seed per row and ``weights``
+    is :func:`_maximizer_weights` for b's row size.  The probes of all rows
+    are normed in one kernel pass; each row's result is bit-identical to
+    its one-row call.
+    """
+    count, support = b.shape
+    # The probes pair with b 2^-e, max |b| in [2^(e-1), 2^e), which keeps
+    # |F(u)| inside the float range.  Each ratio divides the mantissa of
+    # |F(u)| by the probe's scaled root and only then applies the powers of
+    # two, so no intermediate leaves the float range either (|F(u)| / root
+    # could: the maximizer's entries reach 2^1000, its root 2^-501).
+    shifts = np.frexp(mags.max(axis=1, initial=0.0))[1]
+    b = np.ldexp(b.view(float), -shifts[:, None]).view(complex)
+    probes = np.zeros((count, iterations + 1, degree_cap), dtype=complex)
+    np.multiply(np.conj(b), weights, out=probes[:, 0, :support])
+    # (iterations, 2, cap) per row consumes its stream in the order of one
+    # real and one imaginary draw per probe.
+    draws = np.empty((count, iterations, 2, degree_cap))
+    for row, seed in zip(draws, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    probes[:, 1:] = draws[:, :, 0] + 1j * draws[:, :, 1]
+    _require_finite(probes, "probe coefficients")
+    roots, exponents = _norm_parts(np.abs(probes), 0, s - 0.5)
+    best_rows = []
+    for rows, row_b, row_roots, row_exponents, shift in zip(
+            probes, b, roots.tolist(), exponents.tolist(), shifts.tolist()):
+        best = 0.0
+        # Python's abs of a complex, not np.abs: the two can differ in the last bit.
+        for value, root, exponent in zip(_pair_rows(rows, row_b).tolist(), row_roots, row_exponents):
+            if root != 0.0:
+                mantissa, scale = math.frexp(abs(value))
+                best = max(best, _scaled(mantissa / root, scale + shift - int(exponent)))
+        best_rows.append(best)
+    return best_rows
 
 
 def functional_norm_bruteforce(
@@ -209,32 +262,9 @@ def functional_norm_bruteforce(
         raise TruncationError(
             f"probe degree cap {degree_cap} cannot see the representative's support {support}"
         )
-    rng = np.random.default_rng(seed)
-    # The probes pair with b 2^-e, max |b| in [2^(e-1), 2^e), which keeps
-    # |F(u)| inside the float range.  Each ratio divides the mantissa of
-    # |F(u)| by the probe's scaled root and only then applies the powers of
-    # two, so no intermediate leaves the float range either (|F(u)| / root
-    # could: the maximizer's entries reach 2^1000, its root 2^-501).
-    b = np.ascontiguousarray(functional.v.coeffs)
-    shift = math.frexp(np.abs(b).max(initial=0.0))[1]
-    b = np.ldexp(b.view(float), -shift).view(complex)
-    # (iterations, 2, cap) consumes the stream in the order of one real and
-    # one imaginary draw per probe.
-    draws = rng.standard_normal((iterations, 2, degree_cap))
-    probes = np.empty((iterations + 1, degree_cap), dtype=complex)
-    probes[0] = _maximizer_coeffs(b, functional.s, degree_cap)
-    probes[1:] = draws[:, 0] + 1j * draws[:, 1]
-    _require_finite(probes, "probe coefficients")
-    terms, exponents = next(_weighted_squares(np.abs(probes), 0, (functional.s - 0.5,)))
-    roots = np.sqrt(terms.sum(axis=1))
-    values = _pair_rows(probes, b)
-    best = 0.0
-    # Python's abs of a complex, not np.abs: the two can differ in the last bit.
-    for value, root, exponent in zip(values.tolist(), roots.tolist(), exponents.tolist()):
-        if root != 0.0:
-            mantissa, scale = math.frexp(abs(value))
-            best = max(best, _scaled(mantissa / root, scale + shift - int(exponent) // 2))
-    return best
+    b = np.ascontiguousarray(functional.v.coeffs)[None]
+    return _bruteforce_rows(b, np.abs(b), functional.s, degree_cap, iterations, [seed],
+                            _maximizer_weights(functional.s, support))[0]
 
 
 def reconstruct_exterior_from_blackbox(
@@ -261,18 +291,31 @@ def reconstruct_exterior_from_blackbox(
     return ExteriorFunction(values, 1 - int(s))
 
 
+def _dual_norm_parts(mags: np.ndarray, s: int) -> list[list]:
+    """Closed-form dual norm and trace norm of index 1/2 - s per row of |b_m|, m = 1 .. size.
+
+    Returns the lists [root, k, trace root, trace k], each norm being root * 2^k.
+    """
+    # The trace holds b_m at frequency -m: each row reversed.  The kernel sums
+    # terms it writes into a fresh array, so the reversed view rounds as a copy would.
+    dual = _norm_parts(mags, 0, 0.5 - s)
+    trace = _norm_parts(mags[:, ::-1], -mags.shape[1], 0.5 - s)
+    return [part.tolist() for part in (*dual, *trace)]
+
+
+def _trace_ratio(root: float, scale: int, denom: float, denom_scale: int) -> float | None:
+    if denom == 0.0:
+        return None
+    return _scaled(root / denom, scale - denom_scale, "dual-norm ratio")
+
+
 def dual_norm_trace_ratio(v: ExteriorFunction, s: int) -> float | None:
     """Closed-form dual norm over the trace norm of index 1/2 - s; None when v = 0.
 
     Formed from both norms in scaled form, so it is finite wherever it fits the float range.
     """
-    trace = trace_exterior(v)
-    denom, denom_scale = _norm_parts(np.abs(trace.coeffs), trace.n_min, 0.5 - s)
-    if denom == 0.0:
-        return None
-    s = _integer_scale(s)
-    root, scale = _norm_parts(np.abs(v.coeffs), 0, 0.5 - s)
-    return _scaled(root / denom, scale - denom_scale, "dual-norm ratio")
+    parts = _dual_norm_parts(np.abs(v.coeffs)[None], _integer_scale(s))
+    return _trace_ratio(*(part[0] for part in parts))
 
 
 def norm_ratio_bounds(s: int) -> tuple[float, float]:
@@ -363,6 +406,15 @@ def complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
+def _draw_trial(child: np.random.SeedSequence, s: int, degree_cap: int):
+    """One trial's inputs in stream order: representative v, boundary data w, probe, brute-force seed."""
+    rng = np.random.default_rng(child)
+    v = ExteriorFunction(complex_normal(rng, degree_cap), 1 - s)
+    w = BoundaryDistribution(-degree_cap, complex_normal(rng, 2 * degree_cap + 1))
+    probe = InteriorFunction(complex_normal(rng, degree_cap + 4), s)
+    return v, w, probe, int(rng.integers(2 ** 32))
+
+
 def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) -> VerificationReport:
     """Seeded verification that exterior functions model the interior dual space.
 
@@ -373,6 +425,11 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
     the pairing is 1, and (v) brute-force probing matches the closed-form
     norm.  A deliberate zero representative is fed through the ratio check
     and must be skipped as degenerate.
+
+    Trials are drawn and evaluated in blocks (see :data:`_BLOCK_BYTES`): the
+    norms of a block's representatives, traces, probes and brute-force
+    probes take one kernel pass each, while the library calls under test
+    run per trial.  The report is bit-identical to a trial-by-trial run.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -386,45 +443,46 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
     if dual_norm_trace_ratio(ExteriorFunction(np.zeros(0), 1 - s), s) is None:
         degenerate_skipped += 1
 
+    weights = _maximizer_weights(s, degree_cap)
+    per_block = max(1, _BLOCK_BYTES // (16 * (_SUITE_ITERATIONS + 1) * degree_cap))
     inj_err = sur_err = ratio_max = continuity = bf_dev = norm_max = sur_terms_max = 0.0
     ratio_min = np.inf
-    for child in children:
-        rng = np.random.default_rng(child)
-        v = ExteriorFunction(complex_normal(rng, degree_cap), 1 - s)
-        functional = functional_from_exterior(v, s)
+    for start in range(0, trials, per_block):
+        drawn = [_draw_trial(child, s, degree_cap) for child in children[start:start + per_block]]
+        reps = np.array([v.coeffs for v, _, _, _ in drawn])
+        mags = np.abs(reps)
+        probes = np.array([probe.coeffs for _, _, probe, _ in drawn])
+        probe_roots, probe_scales = (part.tolist() for part in _norm_parts(np.abs(probes), 0, s - 0.5))
+        brute = _bruteforce_rows(reps, mags, s, degree_cap, _SUITE_ITERATIONS,
+                                 [bf_seed for _, _, _, bf_seed in drawn], weights)
+        for (v, w, probe, _), root, scale, denom, denom_scale, probe_root, probe_scale, bf in zip(
+                drawn, *_dual_norm_parts(mags, s), probe_roots, probe_scales, brute):
+            functional = functional_from_exterior(v, s)
+            recovered = reconstruct_exterior_from_blackbox(functional, degree_cap, s)
+            inj_err = max(inj_err, float(np.max(np.abs(recovered.coeffs - v.coeffs))))
 
-        recovered = reconstruct_exterior_from_blackbox(functional, degree_cap, s)
-        inj_err = max(inj_err, float(np.max(np.abs(recovered.coeffs - v.coeffs))))
+            rep = represent_functional(w, s)
+            raw = koethe_pairing(trace_interior(probe), w)
+            through = apply_functional(functional_from_exterior(rep, s), probe)
+            sur_err = max(sur_err, abs(through - raw))
+            k = min(probe.coeffs.size, rep.coeffs.size)
+            sur_terms_max = max(sur_terms_max, float(np.sum(np.abs(probe.coeffs[:k] * rep.coeffs[:k]))))
 
-        w = BoundaryDistribution(-degree_cap, complex_normal(rng, 2 * degree_cap + 1))
-        rep = represent_functional(w, s)
-        probe = InteriorFunction(complex_normal(rng, degree_cap + 4), s)
-        raw = koethe_pairing(trace_interior(probe), w)
-        through = apply_functional(functional_from_exterior(rep, s), probe)
-        sur_err = max(sur_err, abs(through - raw))
-        k = min(probe.coeffs.size, rep.coeffs.size)
-        sur_terms_max = max(sur_terms_max, float(np.sum(np.abs(probe.coeffs[:k] * rep.coeffs[:k]))))
+            ratio = _trace_ratio(root, scale, denom, denom_scale)
+            if ratio is None:
+                degenerate_skipped += 1
+            else:
+                ratio_min = min(ratio_min, ratio)
+                ratio_max = max(ratio_max, ratio)
 
-        ratio = dual_norm_trace_ratio(v, s)
-        if ratio is None:
-            degenerate_skipped += 1
-        else:
-            ratio_min = min(ratio_min, ratio)
-            ratio_max = max(ratio_max, ratio)
+            norm = _scaled(root, scale, f"closed-form dual norm at s={s}")
+            norm_max = max(norm_max, norm)
+            # the continuity ratio |F(probe)| / (norm ||probe||), with both norms kept scaled
+            if root * probe_root > 0:
+                value = abs(apply_functional(functional, probe)) / (root * probe_root)
+                continuity = max(continuity, _scaled(value, -scale - probe_scale))
 
-        root, scale = _norm_parts(np.abs(v.coeffs), 0, 0.5 - s)
-        norm = _scaled(root, scale, f"closed-form dual norm at s={s}")
-        norm_max = max(norm_max, norm)
-        # the continuity ratio |F(probe)| / (norm ||probe||), with both norms kept scaled
-        probe_root, probe_scale = _norm_parts(np.abs(probe.coeffs), 0, s - 0.5)
-        if root * probe_root > 0:
-            value = abs(apply_functional(functional, probe)) / (root * probe_root)
-            continuity = max(continuity, _scaled(value, -scale - probe_scale))
-
-        bf = functional_norm_bruteforce(
-            functional, degree_cap, iterations=8, seed=int(rng.integers(2 ** 32))
-        )
-        bf_dev = max(bf_dev, abs(bf - norm))
+            bf_dev = max(bf_dev, abs(bf - norm))
 
     sur_bound = max(SURJECTIVITY_BOUND_FLOOR, SURJECTIVITY_RELATIVE_BOUND * sur_terms_max)
     bf_bound = max(BRUTEFORCE_BOUND_FLOOR, BRUTEFORCE_RELATIVE_BOUND * norm_max)
@@ -482,8 +540,9 @@ def verify_scale_pairing(direction: str, size: int, seed: int, interior_coeffs=N
     """
     if direction not in SCALE_DIRECTIONS:
         raise ValueError(f"direction must be one of {SCALE_DIRECTIONS}, got {direction!r}")
-    if size < 32:
-        raise ValueError("need size >= 32 for a meaningful tail window")
+    if size < _SCALE_MIN_SIZE:
+        raise ValueError(f"need size >= {_SCALE_MIN_SIZE}: below it the managed families' "
+                         "second-half window share can exceed its 1e-6 bound")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     a, b, smooth_side = _scale_families(direction, size, rng)
     if interior_coeffs is not None:

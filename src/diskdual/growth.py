@@ -123,10 +123,11 @@ def growth_family_coeffs(spec: GrowthFamilySpec) -> InteriorFunction:
 
 
 def _block_ratios(weighted: np.ndarray) -> np.ndarray:
-    """Ratios of consecutive dyadic block sums of a nonnegative sequence."""
+    """Ratios of consecutive dyadic block sums of a nonnegative sequence; inf past the float range."""
     sums = np.array([weighted[2 ** k: 2 ** (k + 1)].sum()
                      for k in range(_BLOCK_FIRST, weighted.size.bit_length() - 1)])
-    return np.divide(sums[1:], sums[:-1], out=np.zeros(max(len(sums) - 1, 0)), where=sums[:-1] > 0)
+    with np.errstate(over="ignore"):  # an inf ratio reads as not converging
+        return np.divide(sums[1:], sums[:-1], out=np.zeros(max(len(sums) - 1, 0)), where=sums[:-1] > 0)
 
 
 def _scan_levels(mags: np.ndarray, grid) -> tuple[list[int], tuple[tuple[int, float], ...]]:
@@ -211,8 +212,10 @@ def pointwise_growth_exponent(u: InteriorFunction, z0: complex, radii) -> Growth
     """Fit log |u(r z0)| against -log(1 - r) over the given radii.
 
     The slope estimates the blow-up order at z0 and exp(intercept) the
-    constant.  ``truncation_warning`` is set when the stored degree cannot
-    resolve the largest radius (degree < 10 / (1 - max r)).
+    constant.  ``truncation_warning`` is set when the stored coefficients
+    cannot resolve the largest radius: the terms a_n r^n of a singularity of
+    order gamma peak near n = gamma r / (1 - r), so the warning fires when
+    fewer than (max(gamma_fitted, 0) + 10) / (1 - max r) are stored.
     """
     z0 = complex(z0)
     if abs(abs(z0) - 1.0) >= 1e-12:
@@ -226,7 +229,7 @@ def pointwise_growth_exponent(u: InteriorFunction, z0: complex, radii) -> Growth
     if np.any(vals == 0):
         raise DegenerateInputError("function vanishes on the sample radii")
     slope, intercept = np.polyfit(-np.log1p(-r), np.log(vals), 1)
-    warn = u.coeffs.size < 10.0 / (1.0 - r[-1])
+    warn = u.coeffs.size < (max(slope, 0.0) + 10.0) / (1.0 - r[-1])
     return GrowthFit(float(slope), float(np.exp(intercept)), bool(warn))
 
 

@@ -294,10 +294,14 @@ def _scaled(value: float, exponent, what: str | None = None) -> float:
         raise InvalidDataError(f"{what} exceeds the float range") from None
 
 
-def _norm_parts(mags: np.ndarray, n_min: int, index: float) -> tuple[float, int]:
-    """(root, k) with ( sum_n (1 + n^2)^index mags_n^2 )^(1/2) = root * 2^k."""
+def _norm_parts(mags: np.ndarray, n_min: int, index: float):
+    """(root, k) with ( sum_n (1 + n^2)^index mags_n^2 )^(1/2) = root * 2^k along the last axis.
+
+    Rows of a block get one root and one k each, bit-identical to their
+    one-row results.
+    """
     terms, exponent = next(_weighted_squares(mags, n_min, (index,)))
-    return math.sqrt(terms.sum()), int(exponent) // 2
+    return np.sqrt(terms.sum(axis=-1)), exponent // 2
 
 
 def sobolev_norm(f: BoundaryDistribution, index: float) -> float:

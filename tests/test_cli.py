@@ -386,3 +386,88 @@ def test_size_too_large_to_allocate_is_one_line(argv):
     assert (code, out, caught) == (1, "", [])
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert "allocate" in lines[0]
+
+
+# s = -206 leaves the float range in some of the 16 trials only, s = -1000 in all
+@pytest.mark.parametrize("s, trials", [(-206, 16), (-1000, 3)])
+def test_duality_norm_overflow_in_any_trial_is_one_line(s, trials):
+    code, out, lines, caught = _run_quietly(
+        ["verify", "--suite", "duality", "--s", str(s), "--trials", str(trials), "--N", "32", "--seed", "1"])
+    assert (code, out, caught) == (3, "", [])
+    assert lines == [f"numerical validity error: closed-form dual norm at s={s} exceeds the float range"]
+
+
+# Runs one CLI command as a grandchild and prints its exit code and peak RSS
+# in kB.  A child inherits its parent's peak RSS from before its exec, so the
+# command is started from a small launcher, not from the test process.
+_PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "diskdual.cli", *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_kb(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_LAUNCHER, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    return peak
+
+
+def test_duality_suite_memory_does_not_grow_with_trials():
+    # A trial at N = 8192 holds about 1.2 MB of probe rows and 4 MB of
+    # temporaries; holding all 64 trials at once would add about 75 MB.
+    base = ["verify", "--suite", "duality", "--N", "8192", "--seed", "1", "--trials"]
+    few, many = _peak_rss_kb(base + ["2"]), _peak_rss_kb(base + ["64"])
+    assert many - few < 8 * 1024, (few, many)
+
+
+def test_scale_suite_passes_its_own_families_at_the_smallest_size():
+    for direction in ("interior-finite-order", "exterior-finite-order"):
+        for seed in range(200):
+            code, out = _run(["verify", "--suite", "scale", "--direction", direction, "--N", "64",
+                              "--seed", str(seed)])
+            assert code == 0, (direction, seed, out)
+
+
+@pytest.mark.parametrize("n", [32, 63])
+def test_scale_suite_refuses_sizes_below_64_in_one_line(n):
+    code, out, lines, caught = _run_quietly(["verify", "--suite", "scale", "--N", str(n), "--seed", "1"])
+    assert (code, out, caught) == (1, "", [])
+    assert len(lines) == 1 and lines[0].startswith("error: need size >= 64"), lines
+
+
+# At N = 256 the levels 510..531 of gamma = 1 overflow a dyadic block ratio;
+# the grid -100000:100000 contains them but takes 15 s.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wide_sobolev_grid_ends_in_one_line_without_warnings():
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(["growth", "--gamma", "1", "--N", "256", "--s-grid=500:540"])
+    assert (code, out.getvalue()) == (3, "")
+    assert len(err.getvalue().splitlines()) == 1
+    assert err.getvalue().startswith("numerical validity error: trace norm of index")
+
+
+def test_truncation_warning_follows_the_fitted_order():
+    # the terms a_n r^n peak near gamma r / (1 - r): 4097 coefficients resolve
+    # r = 1 - 2^-7 for gamma = 20 but not for gamma = 40
+    for gamma, expected in ((20, False), (40, True)):
+        code, out = _run(["growth", "--gamma", str(gamma), "--N", "4096"])
+        assert code == 0
+        assert json.loads(out)["truncation_warning"] is expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["--at", "nan,0"],
+    ["--at", "nan,0", "--curve", "ellipse:1.5,0.7", "--M", "64"],
+    ["--at", "inf,0"],
+], ids=["nan", "nan-curve", "inf"])
+def test_non_finite_evaluation_point_is_a_usage_error(u_file, argv):
+    code, out, lines, caught = _run_quietly(["cauchy", "--in", u_file, *argv])
+    assert (code, out, caught) == (1, "", [])
+    assert lines == [f"usage error: argument --at: expected finite 're,im', got '{argv[1]}'"]

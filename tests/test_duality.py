@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from diskdual import duality, formats
+from diskdual import duality, formats, spectral
 
 from diskdual import (
     BoundaryDistribution,
@@ -285,6 +285,49 @@ def test_duality_suite_is_deterministic():
     assert c.to_doc() != a.to_doc()
 
 
+# sha256 of the canonical isomorphism reports, as computed one trial at a
+# time: per N, over s in _SUITE_SCALES, trials in _SUITE_TRIALS and seeds in
+# _SUITE_SEEDS (in that nesting), then single shapes that span many blocks,
+# the last with trials larger than a block
+_SUITE_SCALES, _SUITE_TRIALS, _SUITE_SEEDS = (-40, -3, 0, 1, 7, 300), (1, 2, 5, 16), (0, 7, 20240917)
+_SUITE_DIGESTS = {
+    1: "763476d0b7e89e007ce9f58c643f7e39d4314d931482733eb245355f1ee35390",
+    2: "1ab85234da27a514eb452f8b033814f8be4f3af3461c1c474fd65df242a7fa85",
+    32: "cb0db2aed707b2e426866bb4598b4897eaf295766fc68ac3dccc353546a99c2e",
+    256: "30c219833e5bca78a548e5cfa654d182598ee7166cd27b6a0c55800e0ee14f14",
+    4096: "97c6b3e7ead851a1a322eb12dbae4e54aa7abc3f514a4eea34672b46bfb26ac1",
+}
+_MULTI_BLOCK_DIGESTS = {  # (s, N, trials, seed)
+    (0, 32, 300, 3): "16da6459d7fb7238605c73326ab87ff15a5a3e46a106c5ee06a2ed0110f53ce8",
+    (-3, 2048, 12, 5): "0ba790238edaf31fb776912d96ff88877c546b119e7798d609975aab7cab9ee4",
+    (7, 256, 100, 11): "f84db14edecf17cf8262c247ae59304f7e99fb0e22368149c86e88d4c6e62818",
+    (0, 1024, 40, 2): "4be31e519247b9ac8eb1f16076886b97be1ca5cc15005e6f908f7ea7f0a0c01c",
+    (1, 8192, 3, 4): "708064b77f75feb108f0e9a2d756af8b11f2fd3274ba249566cd60d7c377ae64",
+}
+
+
+def _suite_bytes(s, n, trials, seed):
+    return formats.canonical_json(verify_duality_isomorphism(s, trials, n, seed).to_doc()).encode()
+
+
+@pytest.mark.parametrize("n", sorted(_SUITE_DIGESTS))
+def test_duality_suite_reports_are_unchanged(n):
+    digest = hashlib.sha256()
+    for s in _SUITE_SCALES:
+        for trials in _SUITE_TRIALS:
+            for seed in _SUITE_SEEDS:
+                digest.update(_suite_bytes(s, n, trials, seed))
+    assert digest.hexdigest() == _SUITE_DIGESTS[n]
+
+
+@pytest.mark.parametrize("s, n, trials, seed", sorted(_MULTI_BLOCK_DIGESTS))
+def test_duality_suite_reports_spanning_many_blocks_are_unchanged(s, n, trials, seed):
+    trial_bytes = 16 * (duality._SUITE_ITERATIONS + 1) * n
+    assert trials * trial_bytes > duality._BLOCK_BYTES
+    assert hashlib.sha256(_suite_bytes(s, n, trials, seed)).hexdigest() == \
+        _MULTI_BLOCK_DIGESTS[s, n, trials, seed]
+
+
 def test_scale_pairing_pinned_family_oracle():
     # a_n = n + 1 against b_m = 2^-m: closed forms
     #   total = sum_{k=1..64} k 2^-k            = 2 - 2^-64 * 2 * 66
@@ -462,7 +505,9 @@ def _bruteforce_reference(functional, degree_cap, iterations, seed):
     unit = functional_from_exterior(ExteriorFunction(
         [complex(math.ldexp(z.real, -shift), math.ldexp(z.imag, -shift)) for z in b.tolist()]), functional.s)
     rng = np.random.default_rng(seed)
-    probes = [duality._maximizer_coeffs(unit.v.coeffs, functional.s, degree_cap)]
+    maximizer = np.zeros(degree_cap, dtype=complex)
+    maximizer[: b.size] = np.conj(unit.v.coeffs) * duality._maximizer_weights(functional.s, b.size)
+    probes = [maximizer]
     for _ in range(iterations):
         probes.append(rng.standard_normal(degree_cap) + 1j * rng.standard_normal(degree_cap))
     best = 0.0
@@ -503,6 +548,41 @@ def test_batched_bruteforce_equals_the_probe_loop(b, extra, s, iterations, seed)
     cap = max(b.size + extra, 1)
     assert functional_norm_bruteforce(functional, cap, iterations, seed) == \
         _bruteforce_reference(functional, cap, iterations, seed)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    block=st.tuples(st.integers(1, 5), st.integers(0, 24)).flatmap(
+        lambda shape: arrays(np.complex128, shape, elements=_coeff)),
+    extra=st.integers(0, 8),
+    s=st.integers(-400, 400),
+    seed=st.integers(0, 2 ** 32 - 5),
+)
+def test_block_rows_equal_their_one_row_calls(block, extra, s, seed):
+    # the suite's block evaluation against the public one-row functions
+    cap = max(block.shape[1] + extra, 1)
+    seeds = [seed + i for i in range(block.shape[0])]
+    mags = np.abs(block)
+    brute = duality._bruteforce_rows(block, mags, s, cap, 3, seeds,
+                                     duality._maximizer_weights(s, block.shape[1]))
+    parts = duality._dual_norm_parts(mags, s)
+    for i, row in enumerate(block):
+        functional = functional_from_exterior(ExteriorFunction(row, 1 - s), s)
+        assert brute[i] == functional_norm_bruteforce(functional, cap, 3, seeds[i])
+        ratio = duality._trace_ratio(*(part[i] for part in parts))
+        assert ratio == dual_norm_trace_ratio(functional.v, s)
+
+
+@settings(deadline=None)
+@given(b=_coeff_vectors(0, 40), s=st.integers(-400, 400))
+def test_trace_ratio_equals_the_one_norm_at_a_time_ratio(b, s):
+    # the ratio as formed from two separate norm computations on the containers
+    v = ExteriorFunction(b, 1 - s)
+    trace = trace_exterior(v)
+    denom, denom_scale = spectral._norm_parts(np.abs(trace.coeffs), trace.n_min, 0.5 - s)
+    root, scale = spectral._norm_parts(np.abs(v.coeffs), 0, 0.5 - s)
+    expected = None if denom == 0.0 else math.ldexp(root / denom, int(scale - denom_scale))
+    assert dual_norm_trace_ratio(v, s) == expected
 
 
 # signed zeros, subnormals and values near the float limit, or Gaussians
