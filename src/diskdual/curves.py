@@ -182,7 +182,7 @@ class CurveDescriptor:
                 hi = theta
             else:
                 lo = theta
-            curvature = abs(d1) ** 2 + (gap.conjugate() * d2).real
+            curvature = abs(d1) * abs(d1) + (gap.conjugate() * d2).real  # inf, not OverflowError
             step = theta - slope / curvature if curvature > 0 else lo
             if not lo < step < hi:
                 step = 0.5 * (lo + hi)
@@ -251,7 +251,11 @@ def contour_integral(values, curve: CurveDescriptor, grid: QuadratureGrid) -> co
         raise ValueError(f"expected {grid.m} node values, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise InvalidDataError("contour integrand contains non-finite node values")
-    return complex(grid.weight * np.sum(vals * _node_geometry(curve, grid)[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = complex(grid.weight * np.sum(vals * _node_geometry(curve, grid)[1]))
+    if not cmath.isfinite(total):
+        raise InvalidDataError("contour integral exceeds the float range")
+    return total
 
 
 def cauchy_integral_quadrature(
@@ -272,7 +276,8 @@ def cauchy_integral_quadrature(
         )
     vals = np.asarray(values, dtype=complex)
     zeta = _node_geometry(curve, grid)[0]
-    return contour_integral(vals / (zeta - z), curve, grid) / (2j * np.pi)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by contour_integral
+        return contour_integral(vals / (zeta - z), curve, grid) / (2j * np.pi)
 
 
 def pairing_quadrature(
@@ -281,13 +286,15 @@ def pairing_quadrature(
     """(1/(2 pi i)) contour integral of u v dzeta from node values of u and v."""
     u_vals = np.asarray(u_values, dtype=complex)
     v_vals = np.asarray(v_values, dtype=complex)
-    return contour_integral(u_vals * v_vals, curve, grid) / (2j * np.pi)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by contour_integral
+        return contour_integral(u_vals * v_vals, curve, grid) / (2j * np.pi)
 
 
 def interior_node_values(u: InteriorFunction, curve: CurveDescriptor, grid: QuadratureGrid):
     """Values of the polynomial extension of u at the curve's grid points."""
     zeta = _node_geometry(curve, grid)[0]
-    return np.polynomial.polynomial.polyval(zeta, u.coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused by contour_integral
+        return np.polynomial.polynomial.polyval(zeta, u.coeffs)
 
 
 def exterior_node_values(v: ExteriorFunction, curve: CurveDescriptor, grid: QuadratureGrid):
@@ -297,8 +304,9 @@ def exterior_node_values(v: ExteriorFunction, curve: CurveDescriptor, grid: Quad
         raise ValueError("curve passes through the origin; Laurent values undefined")
     if v.coeffs.size == 0:
         return np.zeros(grid.m, dtype=complex)
-    w = 1.0 / zeta
-    return w * np.polynomial.polynomial.polyval(w, v.coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in interior_node_values
+        w = 1.0 / zeta
+        return w * np.polynomial.polynomial.polyval(w, v.coeffs)
 
 
 def boundary_node_values(f: BoundaryDistribution, curve: CurveDescriptor, grid: QuadratureGrid):

@@ -224,9 +224,11 @@ def _bruteforce_rows(b: np.ndarray, mags: np.ndarray, s: int, degree_cap: int, i
     # (iterations, 2, cap) per row consumes its stream in the order of one
     # real and one imaginary draw per probe.
     draws = np.empty((count, iterations, 2, degree_cap))
-    for row, seed in zip(draws, seeds):
-        np.random.default_rng(seed).standard_normal(out=row)
-    probes[:, 1:] = draws[:, :, 0] + 1j * draws[:, :, 1]
+    for index, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=draws[index])
+    probes[:, 1:].real = draws[:, :, 0]
+    probes[:, 1:].imag = draws[:, :, 1]
+    del draws  # freed before the probes are normed, where the peak lies
     _require_finite(probes, "probe coefficients")
     roots, exponents = _norm_parts(np.abs(probes), 0, s - 0.5)
     best_rows = []

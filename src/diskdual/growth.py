@@ -4,8 +4,10 @@ The model family is u(z) = (1 - conj(z0) z)^(-gamma) with a singularity of
 order gamma at the boundary point z0.  Its Taylor coefficients follow the
 one-term recurrence a_{n+1} = a_n (n + gamma) / (n + 1) conj(z0) and behave
 like n^(gamma - 1), so the trace norm of index s - 1/2 converges exactly when
-s < 1 - gamma.  Scale placement is decided from coefficient tails (dyadic
-block ratios), never from 2-D integrals over the disk.
+s < 1 - gamma.  Scale placement reads one number from the coefficient tail,
+the exponent p of |a_n| ~ n^p extrapolated from dyadic block sums, never a
+2-D integral over the disk: level s converges iff s < -p, and an integer -p
+is reported as a divergent edge.
 """
 
 from __future__ import annotations
@@ -31,9 +33,16 @@ __all__ = [
     "build_growth_report",
 ]
 
-_BLOCK_FIRST = 3          # first dyadic block is [8, 16)
-_BLOCK_DELTA = 0.05       # convergent iff late block ratios stay below 1 - delta
-_FIT_RESIDUAL_MAX = 0.25  # log-log tail regression quality gate
+_BLOCKS = 5  # blocks [8, 16) on; two Richardson steps and their bar need five
+# Margins in bars.  An extrapolant error f 8^-k makes a bar of 7 f 8^-k.  Over
+# N in {512, 4096, 65536}, gamma in {0.5, 1, 1.5, 2, 3, 5, 7.5, 10, 20, 40}
+# and z0 in {1, e^0.7i}, -p lies within 0.2 bars of 1 - gamma for integer
+# gamma and 800 bars or more from any integer otherwise; gamma = 40 at
+# N = 512 (bar 0.27) reads inconclusive.  1.5 bars still saturate the grid
+# with e^(-n/100) from N = 4096 on.
+_EDGE, _SAFE = 0.5, 1.5
+_BAR_MAX = 0.25    # an edge is read only while -p is known to a quarter
+_BAR_FLOOR = 1e-9  # rounding moves an extrapolant by ~1e-12
 _SQUARE_MAX = math.sqrt(np.finfo(float).max)  # largest magnitude whose square is finite
 
 
@@ -47,8 +56,8 @@ class GrowthFamilySpec:
 
     def __post_init__(self) -> None:
         z0 = complex(self.z0)
-        if abs(abs(z0) - 1.0) >= 1e-12:
-            raise ValueError(f"singularity must sit on the unit circle, |z0| = {abs(z0)!r}")
+        if not abs(abs(z0) - 1.0) < 1e-12:  # NaN and inf included
+            raise ValueError(f"singularity must sit on the unit circle, z0 = {z0!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError("growth exponent must be positive and finite")
         if int(self.degree) < 8:
@@ -60,18 +69,20 @@ class GrowthFamilySpec:
 
 @dataclass(frozen=True)
 class ScaleEstimate:
-    """Outcome of the minimal-index search: value plus a status flag.
-
-    ``flag`` is one of ``ok``, ``entire-side-saturation`` (every grid level
-    passed, e.g. polynomials), ``inconclusive`` (tail too irregular to call),
-    or ``below-grid`` (no grid level passed).  ``norm_curve`` holds
-    (s, trace norm of index s - 1/2) for each grid level, inf where the norm
-    exceeds the float range.
+    """Minimal index, flag (``ok``, ``entire-side-saturation``, ``inconclusive``
+    or ``below-grid``) and the numbers behind them: (s, trace norm of index
+    s - 1/2) per grid level (inf past the float range), p, its bar, the
+    distance from -p to the nearest integer, and that integer when read as
+    the log-divergent edge (None where they do not apply).
     """
 
     s_min: int | None
     flag: str
     norm_curve: tuple[tuple[int, float], ...]
+    tail_exponent: float | None = None
+    bar: float | None = None
+    edge_distance: float | None = None
+    edge: int | None = None
 
 
 @dataclass(frozen=True)
@@ -85,23 +96,24 @@ class GrowthFit:
 
 @dataclass(frozen=True)
 class GrowthReport:
-    gamma_fitted: float
-    c_fitted: float
+    fit: GrowthFit
     r_used: float
-    s_min_estimate: int | None
-    s_min_flag: str
-    truncation_warning: bool
-    norm_curve: tuple[tuple[int, float], ...]
+    placement: ScaleEstimate
 
     def to_doc(self) -> dict:
+        fit, placement = self.fit, self.placement
         return {
-            "gamma_fitted": float(self.gamma_fitted),
-            "C_fitted": float(self.c_fitted),
+            "gamma_fitted": float(fit.gamma_fitted),
+            "C_fitted": float(fit.c_fitted),
             "R_used": float(self.r_used),
-            "s_min_estimate": self.s_min_estimate,
-            "s_min_flag": self.s_min_flag,
-            "truncation_warning": bool(self.truncation_warning),
-            "norm_curve": [[int(s), float(v)] for s, v in self.norm_curve],
+            "s_min_estimate": placement.s_min,
+            "s_min_flag": placement.flag,
+            "truncation_warning": bool(fit.truncation_warning),
+            "norm_curve": [[int(s), float(v)] for s, v in placement.norm_curve],
+            "tail_exponent": placement.tail_exponent,
+            "tail_exponent_bar": placement.bar,
+            "edge_distance": placement.edge_distance,
+            "log_divergent_edge": placement.edge,
         }
 
 
@@ -109,103 +121,86 @@ def growth_family_coeffs(spec: GrowthFamilySpec) -> InteriorFunction:
     """Taylor coefficients of (1 - conj(z0) z)^(-gamma), truncated at spec.degree."""
     # a_n is the running product of the ratios (k + gamma) / (k + 1) conj(z0), k < n.
     n = spec.degree
+    ratios = np.arange(float(n))
+    ratios += spec.gamma
+    ratios /= np.arange(1.0, n + 1.0)
     a = np.empty(n + 1, dtype=complex)
     a[0] = 1.0
-    np.divide(np.arange(n) + spec.gamma, np.arange(1.0, n + 1.0), out=a[1:])
-    a[1:] *= np.conj(spec.z0)
+    np.multiply(ratios, np.conj(spec.z0), out=a[1:])
     # A product beyond the float range is reported once, by the container's
-    # finiteness check, not by a stream of numpy warnings.  The copy it makes
-    # stays on purpose: handing this array over uncopied was measured to slow
-    # the placement that follows by more than the copy costs.
+    # finiteness check.  Its copy stays: handing this array over uncopied was
+    # measured to slow the placement that follows by more than the copy costs.
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumprod(a, out=a)
     return InteriorFunction(a)
 
 
-def _block_ratios(weighted: np.ndarray) -> np.ndarray:
-    """Ratios of consecutive dyadic block sums of a nonnegative sequence; inf past the float range."""
-    sums = np.array([weighted[2 ** k: 2 ** (k + 1)].sum()
-                     for k in range(_BLOCK_FIRST, weighted.size.bit_length() - 1)])
-    with np.errstate(over="ignore"):  # an inf ratio reads as not converging
-        return np.divide(sums[1:], sums[:-1], out=np.zeros(max(len(sums) - 1, 0)), where=sums[:-1] > 0)
+def _tail_exponent(mags: np.ndarray) -> tuple[float | None, float | None]:
+    """(p, bar) for |a_n| ~ n^p from the last five dyadic block sums B_k of |a_n|^2.
 
-
-def _scan_levels(mags: np.ndarray, grid) -> tuple[list[int], tuple[tuple[int, float], ...]]:
-    """Passing levels and the trace norms of index s - 1/2 for the levels s of the grid.
-
-    One pass of :func:`~diskdual.spectral._weighted_squares` scales each
-    level's terms (1 + n^2)^(s - 1/2) |a_n|^2 by a power of two, which keeps
-    their block ratios; the rescaled root of their sum is the norm, equal to
-    sobolev_norm(trace_interior(u), s - 0.5) bit for bit, or inf beyond the
-    float range.
+    r_k = log2(B_(k+1) / B_k) = 2p + 1 + c 2^-k + O(4^-k): two Richardson
+    steps remove both terms, and the gap of the last two extrapolants is the
+    bar.  p is -inf when the last block is zero (finite support) and None
+    with fewer than five blocks from [8, 16) or another zero block.
     """
-    passing, curve = [], []
-    for s, (terms, exponent) in zip(grid, _weighted_squares(mags, 0, [k - 0.5 for k in grid])):
-        if _converges(terms):
-            passing.append(s)
-        curve.append((s, _scaled(math.sqrt(terms.sum()), int(exponent) // 2)))
-    return passing, tuple(curve)
-
-
-def _converges(weighted: np.ndarray) -> bool:
-    tail = _block_ratios(weighted)[-3:]
-    return bool(np.max(tail) < 1.0 - _BLOCK_DELTA) if tail.size else False
-
-
-def _tail_fit_residual(mags: np.ndarray) -> float:
-    """RMS residual of the least-squares line log |a_n| ~ p log n + q, n >= max(8, N/2), a_n != 0.
-
-    Closed form, centred: with x, y the logs minus their means, p = (x.y)/(x.x)
-    and the residual is sqrt(mean((y - p x)^2)); fewer than 8 points read 0.0.
-    Only its comparison with ``_FIT_RESIDUAL_MAX`` is used.
-    """
-    start = max(8, mags.size // 2)
-    tail, n = mags[start:], np.arange(start, mags.size, dtype=float)
-    if not tail.all():
-        tail, n = tail[tail > 0], n[tail > 0]
-    if tail.size < 8:
-        return 0.0
-    x, y = np.log(n, out=n), np.log(tail)
-    x -= x.mean()
-    y -= y.mean()
-    x *= (x @ y) / (x @ x)
-    y -= x
-    return math.sqrt((y @ y) / y.size)
+    top = mags.size.bit_length() - 1  # the last full block ends at 2^top
+    count = min(top - 3, _BLOCKS)
+    lo = 2 ** (top - count)
+    squares, _ = next(_weighted_squares(mags[lo: 2 ** top], 0, (0,)))
+    sums = np.add.reduceat(squares, lo * (2 ** np.arange(count) - 1))
+    if not sums[-1]:
+        return -math.inf, 0.0
+    if count < _BLOCKS or not sums.all():
+        return None, None
+    r = np.diff(np.log2(sums))
+    r = 2.0 * r[1:] - r[:-1]
+    r = (4.0 * r[1:] - r[:-1]) / 3.0
+    return (float(r[-1]) - 1.0) / 2.0, abs(float(r[-1] - r[-2])) / 2.0
 
 
 def estimate_min_sobolev(u: InteriorFunction, s_grid) -> ScaleEstimate:
-    """Largest integer s on the grid whose trace norm passes the convergence test.
+    """Largest integer s on the grid whose trace norm of index s - 1/2 converges.
 
-    A level passes when the late dyadic block sums of
-    (1 + n^2)^(s - 1/2) |a_n|^2 shrink by at least delta = 0.05 per block.
-    Log-divergent edges therefore fail, and tails too irregular for a stable
-    log-log fit come back ``inconclusive`` instead of a guess.  Coefficients
-    whose squares overflow raise :class:`InvalidDataError`; weights and
-    norms may leave the float range (a norm that does reads inf).
+    It converges iff s < q = -p (see :func:`_tail_exponent`).  q within
+    _EDGE bars of an integer m (bar <= _BAR_MAX) reads as q = m, level m
+    divergent: exact for the family, conservative where a log factor makes
+    it converge.  Otherwise a grid level within _SAFE bars of q makes the
+    result ``inconclusive``.  Squares of |a_n| must not overflow.
     """
     a = u.coeffs
     if a.size < 64:
         raise TruncationError(f"need at least 64 coefficients for a stable tail, got {a.size}")
-    if not np.any(a):
+    mags = np.abs(a)
+    top = mags.max()
+    if not top:
         raise DegenerateInputError("cannot place the zero function on the scale")
     grid = sorted({int(s) for s in s_grid})
     if not grid:
         raise ValueError("empty Sobolev grid")
-    mags = np.abs(a)
-    if mags.max() > _SQUARE_MAX:
-        raise InvalidDataError(f"coefficient magnitudes up to {mags.max():.3g} overflow when "
+    if top > _SQUARE_MAX:
+        raise InvalidDataError(f"coefficient magnitudes up to {top:.3g} overflow when "
                                f"squared; scale placement needs |a_n| <= {_SQUARE_MAX:.3g}")
-    passing, curve = _scan_levels(mags, grid)
-    if len(passing) == len(grid):
+    # each norm equals sobolev_norm(trace_interior(u), s - 0.5) bit for bit
+    curve = tuple((s, _scaled(math.sqrt(terms.sum()), int(exponent) // 2))
+                  for s, (terms, exponent) in zip(grid, _weighted_squares(mags, 0, [k - 0.5 for k in grid])))
+    p, bar = _tail_exponent(mags)
+    if p is None:
+        return ScaleEstimate(None, "inconclusive", curve)
+    if p == -math.inf:
         return ScaleEstimate(max(grid), "entire-side-saturation", curve)
-    # nested-scale sanity: the passing set must be an initial segment
-    if passing != grid[: len(passing)]:
-        return ScaleEstimate(None, "inconclusive", curve)
-    if _tail_fit_residual(mags) > _FIT_RESIDUAL_MAX:
-        return ScaleEstimate(None, "inconclusive", curve)
-    if not passing:
-        return ScaleEstimate(None, "below-grid", curve)
-    return ScaleEstimate(max(passing), "ok", curve)
+    tol, edge = max(bar, _BAR_FLOOR), round(-p)
+    distance = abs(p + edge)
+    lo = hi = edge
+    if distance > _EDGE * tol or tol > _BAR_MAX:
+        edge, lo, hi = None, -p - _SAFE * tol, -p + _SAFE * tol
+    passing = [s for s in grid if s < lo]
+    if any(lo <= s < hi for s in grid):
+        flag, s_min = "inconclusive", None
+    elif len(passing) == len(grid):
+        flag, s_min = "entire-side-saturation", max(grid)
+    else:
+        flag, s_min = ("ok", max(passing)) if passing else ("below-grid", None)
+    return ScaleEstimate(s_min, flag, curve, p, bar, distance, edge)
 
 
 def pointwise_growth_exponent(u: InteriorFunction, z0: complex, radii) -> GrowthFit:
@@ -218,8 +213,8 @@ def pointwise_growth_exponent(u: InteriorFunction, z0: complex, radii) -> Growth
     fewer than (max(gamma_fitted, 0) + 10) / (1 - max r) are stored.
     """
     z0 = complex(z0)
-    if abs(abs(z0) - 1.0) >= 1e-12:
-        raise ValueError("growth is measured toward a boundary point, need |z0| = 1")
+    if not abs(abs(z0) - 1.0) < 1e-12:  # NaN and inf included
+        raise ValueError(f"growth is measured toward a boundary point, need |z0| = 1, z0 = {z0!r}")
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or r.size < 2:
         raise ValueError("need at least two radii")
@@ -275,6 +270,4 @@ def build_growth_report(spec: GrowthFamilySpec, s_grid, radii=None) -> GrowthRep
     for s, value in estimate.norm_curve:
         if not math.isfinite(value):
             raise InvalidDataError(f"trace norm of index {s - 0.5} exceeds the float range")
-    r_used = float(1.0 - np.min(np.asarray(radii, dtype=float)))
-    return GrowthReport(fit.gamma_fitted, fit.c_fitted, r_used, estimate.s_min, estimate.flag,
-                        fit.truncation_warning, estimate.norm_curve)
+    return GrowthReport(fit, float(1.0 - np.min(np.asarray(radii, dtype=float))), estimate)

@@ -41,13 +41,19 @@ BOUNDARY_EVALUATION_THRESHOLD = 1e-9
 _SERIES_BLOCK = 1024
 
 
-def _as_coeff_array(values, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=complex)
+def _init_series(obj, what: str, empty_is_zero: bool) -> None:
+    """Validate and freeze a series container's coefficients and Sobolev index."""
+    arr = np.array(obj.coeffs, dtype=complex)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be a 1-D sequence")
     _require_finite(arr, what)
+    if empty_is_zero and arr.size == 0:
+        arr = np.zeros(1, dtype=complex)
     arr.flags.writeable = False
-    return arr
+    object.__setattr__(obj, "coeffs", arr)
+    if not math.isfinite(obj.index):
+        raise ValueError("Sobolev index must be finite")
+    object.__setattr__(obj, "index", float(obj.index))
 
 
 def _series(c: np.ndarray, z: complex) -> complex:
@@ -83,14 +89,7 @@ class InteriorFunction:
     index: float = 0.0
 
     def __post_init__(self) -> None:
-        arr = _as_coeff_array(self.coeffs, "interior coefficients")
-        if arr.size == 0:
-            arr = np.zeros(1, dtype=complex)
-            arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-        if not math.isfinite(self.index):
-            raise ValueError("Sobolev index must be finite")
-        object.__setattr__(self, "index", float(self.index))
+        _init_series(self, "interior coefficients", empty_is_zero=True)
 
     @property
     def degree(self) -> int:
@@ -109,11 +108,7 @@ class ExteriorFunction:
     index: float = 0.0
 
     def __post_init__(self) -> None:
-        arr = _as_coeff_array(self.coeffs, "exterior coefficients")
-        object.__setattr__(self, "coeffs", arr)
-        if not math.isfinite(self.index):
-            raise ValueError("Sobolev index must be finite")
-        object.__setattr__(self, "index", float(self.index))
+        _init_series(self, "exterior coefficients", empty_is_zero=False)
 
 
 def trace_interior(u: InteriorFunction) -> BoundaryDistribution:

@@ -471,3 +471,36 @@ def test_non_finite_evaluation_point_is_a_usage_error(u_file, argv):
     code, out, lines, caught = _run_quietly(["cauchy", "--in", u_file, *argv])
     assert (code, out, caught) == (1, "", [])
     assert lines == [f"usage error: argument --at: expected finite 're,im', got '{argv[1]}'"]
+
+
+# The values of an 8-term series at |zeta| ~ 1e300, at |1/zeta| ~ 1e300 and at
+# |zeta| ~ 1e100 leave the float range (a curve of moderate size can do the
+# same with larger coefficients); on the large ellipse the Cauchy quadrature
+# refuses the point 0.1 first, without overflowing in its distance.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("curve, overflowing", [
+    ("ellipse:1e300,1", "u"), ("circle:1e-300", "v"), ("circle:1e100", "u")])
+@pytest.mark.parametrize("verb", ["pair", "cauchy"])
+def test_node_value_overflow_is_one_line_without_warnings(tmp_path, verb, curve, overflowing):
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("u", "v")}
+    assert run(["gen", "--random", "interior", "--N", "8", "--seed", "1", "--out", paths["u"]]) == 0
+    assert run(["gen", "--random", "exterior", "--N", "8", "--seed", "2", "--out", paths["v"]]) == 0
+    if verb == "pair":
+        argv = ["pair", "--u", paths["u"], "--v", paths["v"]]
+    else:
+        argv = ["cauchy", "--in", paths[overflowing], "--at", "0.1,0"]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv + ["--M", "64", "--curve", curve])
+    assert (code, out.getvalue()) == (3, "")
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical validity error: "), lines
+
+
+@pytest.mark.filterwarnings("error")
+def test_distance_to_a_huge_curve_does_not_overflow(v_file):
+    # the Newton curvature |zeta'|^2 once raised OverflowError at |zeta'| ~ 1e300
+    code, out, lines, caught = _run_quietly(
+        ["cauchy", "--in", v_file, "--at", "0.1,0", "--M", "64", "--curve", "ellipse:1e300,1"])
+    assert (code, out, caught) == (3, "", [])
+    assert len(lines) == 1 and lines[0].startswith("numerical validity error: z at distance"), lines

@@ -314,3 +314,16 @@ def test_distance_is_never_above_the_samples_and_matches_a_fine_sampling():
             assert got <= np.min(np.abs(coarse - z))
             # the fine sampling overestimates by at most (|zeta'| h)^2 / (2 d) + |zeta'| h / 2
             assert np.min(np.abs(fine - z)) - 1e-5 <= got <= np.min(np.abs(fine - z)) + 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+def test_products_beyond_the_float_range_are_refused_without_warnings():
+    curve, grid = curves.CurveDescriptor.parse("ellipse:10,5"), curves.QuadratureGrid(64)
+    small = curves.CurveDescriptor.parse("circle:1e-3")
+    big = np.full(grid.m, 1e200 + 0j)
+    with pytest.raises(InvalidDataError, match="contour integrand contains non-finite node values"):
+        curves.pairing_quadrature(big, big, curve, grid)
+    with pytest.raises(InvalidDataError, match="contour integral exceeds the float range"):
+        curves.contour_integral(np.full(grid.m, 1e308 + 0j), curve, grid)
+    with pytest.raises(InvalidDataError, match="contour integrand contains non-finite node values"):
+        curves.cauchy_integral_quadrature(np.full(grid.m, 1e308 + 0j), small, grid, 0j)
