@@ -1,5 +1,7 @@
 """Contour quadrature: residues, Cauchy kernel, pairings, convergence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,59 @@ def test_cached_geometry_equals_the_curve_formulas_bit_for_bit():
                 assert zeta.tobytes() == c.point(grid.nodes).tobytes()
                 assert dzeta.tobytes() == c.derivative(grid.nodes).tobytes()
                 assert not zeta.flags.writeable and not dzeta.flags.writeable
+
+
+# sha256 of the curve formulas' bytes, taken before point, derivative and the
+# Newton jet shared one formula per kind: both orientations, the grids M below
+# and four scalar parameters.  M >= 2^14 is where numpy may multiply into a
+# temporary in place, which rounds differently from a fresh output array.
+_GEOMETRY_DIGESTS = {
+    "circle": "652c6f2e94126256f330861025f349ca6c2fb239917c11bc0fa9731229923b44",
+    "ellipse": "fdeb30093a849606f482b1a59e606524b9ef0546f09234b2472e473969bcaaaf",
+    "perturbed-circle": "30369d4fe2709c9b23a4da3ea05fe869e2c860a1b403710f387091df1d75d0c5",
+}
+_DISTANCE_DIGEST = "0978143c606f64da2ac1675ff6dfa6c5f5d9e63b4c6f1be7323fc4b69bb56a1e"
+_EXTRA_CURVES = (CurveDescriptor.perturbed_circle(0.1, 5), CurveDescriptor.perturbed_circle(0.5, 40),
+                 CurveDescriptor.ellipse(1e300, 1.0), CurveDescriptor.circle(1e-300),
+                 CurveDescriptor.circle(1e100))
+_ARC_LENGTHS = ("0x1.921fb54442d18p+2", "0x1.c91580c0fb7d1p+2", "0x1.9b0bb42145f2ap+2",
+                "0x1.aa3d69d2ebfe6p+2", "0x1.42318cb82402ap+6", "0x1.7e43c3966d8e4p+998",
+                "0x1.0d4cab14b6bc0p-994", "0x1.cb9f5c3f2eb86p+334")
+
+
+@pytest.mark.parametrize("curve", [CIRCLE, ELLIPSE, WOBBLE], ids=lambda c: c.kind)
+def test_curve_formulas_keep_their_pinned_bytes(curve):
+    digest = hashlib.sha256()
+    for c in (curve, curve.reversed()):
+        for m in (16, 96, 4096, 2 ** 14, 2 ** 16):
+            nodes = QuadratureGrid(m).nodes
+            digest.update(c.point(nodes).tobytes())
+            digest.update(c.derivative(nodes).tobytes())
+        for theta in (0.0, 0.3, 2.0, 5.5):
+            digest.update(np.asarray(c.point(theta)).tobytes())
+            digest.update(np.asarray(c.derivative(theta)).tobytes())
+    assert digest.hexdigest() == _GEOMETRY_DIGESTS[curve.kind]
+
+
+def test_distances_keep_their_pinned_reprs():
+    rng = np.random.default_rng(20241019)
+    digest = hashlib.sha256()
+    for curve in (CIRCLE, ELLIPSE, WOBBLE, *_EXTRA_CURVES[:2]):
+        for c in (curve, curve.reversed()):
+            points = list(rng.uniform(-2.5, 2.5, (20, 2)) @ np.array([1.0, 1j]))
+            theta = rng.uniform(0, 2 * np.pi, 10)
+            tangent = c.derivative(theta)
+            points += list(c.point(theta) + rng.uniform(-1e-3, 1e-3, 10) * 1j * tangent / abs(tangent))
+            digest.update(" ".join(repr(c.distance_to(z)) for z in points).encode())
+    for c in _EXTRA_CURVES[2:]:
+        digest.update(" ".join(repr(c.distance_to(z)) for z in (0.1, 0.5j, 3.0 + 1.0j)).encode())
+    assert digest.hexdigest() == _DISTANCE_DIGEST
+
+
+def test_arc_lengths_keep_their_pinned_values():
+    for curve, expected in zip((CIRCLE, ELLIPSE, WOBBLE, *_EXTRA_CURVES), _ARC_LENGTHS):
+        assert curve.arc_length().hex() == expected
+        assert curve.reversed().arc_length().hex() == expected
 
 
 def test_mutating_returned_node_values_changes_no_later_result():
