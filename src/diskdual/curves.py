@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,11 +34,16 @@ __all__ = [
 
 PROXIMITY_FACTOR = 10.0
 
-# distance_to samples the curve at _SAMPLES parameters, then refines the
-# nearest sample by at most _NEWTON_STEPS safeguarded Newton steps; it stops
-# once a step is below _NEWTON_TOL, which moves the distance by at most
-# |zeta'| * _NEWTON_TOL.
-_SAMPLES = 4096
+_PARAM_COUNTS = {"circle": 1, "ellipse": 2, "perturbed-circle": 2}
+# Past 2^53 every float is an integer, so the integer check would say nothing;
+# the cap also keeps eps * k * k in zeta'' far inside the float range.
+_MAX_WAVENUMBER = 2.0 ** 53
+_SCALAR = SimpleNamespace(exp=cmath.exp, cos=math.cos, sin=math.sin)
+
+# distance_to takes the nearest node of _SAMPLE_GRID (M = 4096), then refines
+# it by at most _NEWTON_STEPS safeguarded Newton steps; it stops once a step
+# is below _NEWTON_TOL, which moves the distance by at most
+# |zeta'| * _NEWTON_TOL.  arc_length is the trapezoid rule on the same nodes.
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-13
 
@@ -57,29 +63,26 @@ class CurveDescriptor:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        count = _PARAM_COUNTS.get(self.kind)
+        if count is None:
+            raise ValueError(f"unknown curve kind {self.kind!r}")
+        if len(self.params) != count:
+            raise ValueError(f"{self.kind} takes {count} parameter(s), got {len(self.params)}")
         if not all(map(math.isfinite, self.params)):
             raise ValueError(f"curve parameters must be finite, got {self.params}")
         if self.orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        if self.kind == "circle":
-            (r,) = self.params
-            if r <= 0:
-                raise ValueError("circle radius must be positive")
-        elif self.kind == "ellipse":
-            p, q = self.params
-            if p <= 0 or q <= 0:
-                raise ValueError("ellipse semi-axes must be positive")
-        elif self.kind == "perturbed-circle":
+        # These bound |zeta'| below by r, min(p, q) and 1 - eps.
+        if self.kind == "circle" and self.params[0] <= 0:
+            raise ValueError("circle radius must be positive")
+        if self.kind == "ellipse" and min(self.params) <= 0:
+            raise ValueError("ellipse semi-axes must be positive")
+        if self.kind == "perturbed-circle":
             eps, k = self.params
             if not 0 <= eps < 1:
                 raise ValueError("perturbation amplitude must lie in [0, 1)")
-            if k < 1 or k != int(k):
-                raise ValueError("perturbation wavenumber must be a positive integer")
-        else:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-        speeds = np.abs(self.derivative(np.linspace(0.0, 2 * np.pi, 512, endpoint=False)))
-        if speeds.min() <= 0:
-            raise ValueError("curve parametrization has a vanishing derivative")
+            if not 1 <= k <= _MAX_WAVENUMBER or k != int(k):
+                raise ValueError("perturbation wavenumber must be a positive integer <= 2^53")
 
     @classmethod
     def circle(cls, radius: float = 1.0) -> "CurveDescriptor":
@@ -101,61 +104,43 @@ class CurveDescriptor:
             params = tuple(float(p) for p in rest.split(",")) if rest else ()
         except ValueError as exc:
             raise ValueError(f"bad curve parameters in {text!r}") from exc
-        if name == "circle":
-            return cls.circle(*params) if params else cls.circle()
-        if name == "ellipse":
-            return cls.ellipse(*params)
-        if name == "perturbed-circle":
-            return cls.perturbed_circle(*params)
-        raise ValueError(f"unknown curve {name!r}")
+        return cls(name, params or ((1.0,) if name == "circle" else ()))
+
+    def _jet(self, theta, lib=np):
+        """zeta, zeta' and zeta'' at theta: arrays with numpy, one float with _SCALAR.
+
+        The complex array expressions and their temporaries fix the rounding:
+        from M = 2^14 on numpy may multiply into a complex temporary in place.
+        """
+        o = self.orientation
+        t = o * theta
+        if self.kind == "circle":
+            r = self.params[0]
+            zeta = r * lib.exp(1j * t)
+            return zeta, o * (1j * r * lib.exp(1j * t)), -zeta
+        if self.kind == "ellipse":
+            p, q = self.params
+            zeta = p * lib.cos(t) + 1j * q * lib.sin(t)
+            return zeta, o * (-p * lib.sin(t) + 1j * q * lib.cos(t)), -zeta
+        eps, k = self.params
+        c, s = lib.cos(k * t), lib.sin(k * t)
+        return ((1.0 + eps * c) * lib.exp(1j * t),
+                o * (lib.exp(1j * t) * (1j * (1.0 + eps * c) - eps * k * s)),
+                lib.exp(1j * t) * (-eps * k * k * c + 2j * (-eps * k * s) - (1.0 + eps * c)))
 
     def point(self, theta):
         """Position zeta(theta); accepts scalars or arrays."""
-        t = self.orientation * np.asarray(theta, dtype=float)
-        if self.kind == "circle":
-            return self.params[0] * np.exp(1j * t)
-        if self.kind == "ellipse":
-            p, q = self.params
-            return p * np.cos(t) + 1j * q * np.sin(t)
-        eps, k = self.params
-        return (1.0 + eps * np.cos(k * t)) * np.exp(1j * t)
+        return self._jet(np.asarray(theta, dtype=float))[0]
 
     def derivative(self, theta):
         """d zeta / d theta at the given parameters."""
-        t = self.orientation * np.asarray(theta, dtype=float)
-        if self.kind == "circle":
-            base = 1j * self.params[0] * np.exp(1j * t)
-        elif self.kind == "ellipse":
-            p, q = self.params
-            base = -p * np.sin(t) + 1j * q * np.cos(t)
-        else:
-            eps, k = self.params
-            base = np.exp(1j * t) * (1j * (1.0 + eps * np.cos(k * t)) - eps * k * np.sin(k * t))
-        return self.orientation * base
+        return self._jet(np.asarray(theta, dtype=float))[1]
 
     def reversed(self) -> "CurveDescriptor":
         return CurveDescriptor(self.kind, self.params, -self.orientation)
 
     def arc_length(self) -> float:
         return _arc_length(self)
-
-    def _jet(self, theta: float) -> tuple[complex, complex, complex]:
-        """zeta, zeta' and zeta'' at one parameter, in scalar arithmetic."""
-        t = self.orientation * theta
-        turn = cmath.exp(1j * t)
-        if self.kind == "circle":
-            zeta = self.params[0] * turn
-            return zeta, self.orientation * 1j * zeta, -zeta
-        if self.kind == "ellipse":
-            p, q = self.params
-            zeta = complex(p * math.cos(t), q * math.sin(t))
-            return zeta, self.orientation * complex(-p * math.sin(t), q * math.cos(t)), -zeta
-        eps, k = self.params
-        rho = 1.0 + eps * math.cos(k * t)
-        drho = -eps * k * math.sin(k * t)
-        ddrho = -eps * k * k * math.cos(k * t)
-        return (rho * turn, self.orientation * turn * (1j * rho + drho),
-                turn * (ddrho + 2j * drho - rho))
 
     def distance_to(self, z: complex) -> float:
         """Distance from z to the curve.
@@ -168,13 +153,13 @@ class CurveDescriptor:
         the sample spacing.
         """
         z = complex(z)
-        gaps = np.abs(_dense_points(self) - z)
+        gaps = np.abs(_node_geometry(self, _SAMPLE_GRID)[0] - z)
         j = int(np.argmin(gaps))
         best = float(gaps[j])
-        spacing = 2 * np.pi / _SAMPLES
+        spacing = _SAMPLE_GRID.weight
         theta, lo, hi = j * spacing, (j - 1) * spacing, (j + 1) * spacing
         for _ in range(_NEWTON_STEPS):
-            zeta, d1, d2 = self._jet(theta)
+            zeta, d1, d2 = self._jet(theta, _SCALAR)
             gap = zeta - z
             best = min(best, abs(gap))
             slope = (gap.conjugate() * d1).real
@@ -193,19 +178,6 @@ class CurveDescriptor:
 
     def is_unit_circle(self) -> bool:
         return self.kind == "circle" and self.params[0] == 1.0 and self.orientation == 1
-
-
-@lru_cache(maxsize=None)
-def _dense_points(curve: CurveDescriptor, samples: int = _SAMPLES) -> np.ndarray:
-    pts = curve.point(2 * np.pi * np.arange(samples) / samples)
-    pts.flags.writeable = False
-    return pts
-
-
-@lru_cache(maxsize=None)
-def _arc_length(curve: CurveDescriptor, samples: int = _SAMPLES) -> float:
-    theta = 2 * np.pi * np.arange(samples) / samples
-    return float(2 * np.pi / samples * np.sum(np.abs(curve.derivative(theta))))
 
 
 @dataclass(frozen=True)
@@ -228,16 +200,27 @@ class QuadratureGrid:
         return 2 * np.pi / self.m
 
 
-# Each entry holds 32 M bytes; eight cover three curves at two grids and
-# their reversals with room to spare.
+_SAMPLE_GRID = QuadratureGrid(4096)
+
+
+# Each entry holds 32 M bytes; eight hold three curves at two grids with room
+# to spare.  distance_to and arc_length read the M = 4096 entry.
 @lru_cache(maxsize=8)
 def _node_geometry(curve: CurveDescriptor, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
     """Read-only zeta(theta_j) and zeta'(theta_j) on the grid, computed once per (curve, M)."""
-    theta = grid.nodes
-    zeta, dzeta = curve.point(theta), curve.derivative(theta)
+    zeta, dzeta, _ = curve._jet(grid.nodes)
     zeta.flags.writeable = False
     dzeta.flags.writeable = False
     return zeta, dzeta
+
+
+@lru_cache(maxsize=None)
+def _arc_length(curve: CurveDescriptor) -> float:
+    with np.errstate(over="ignore"):
+        length = float(_SAMPLE_GRID.weight * np.sum(np.abs(_node_geometry(curve, _SAMPLE_GRID)[1])))
+    if not math.isfinite(length):
+        raise InvalidDataError("curve arc length exceeds the float range")
+    return length
 
 
 def contour_integral(values, curve: CurveDescriptor, grid: QuadratureGrid) -> complex:

@@ -530,15 +530,12 @@ def _scale_families(direction: str, size: int, rng: np.random.Generator):
     return geometric, polynomial, "interior"
 
 
-def verify_scale_pairing(direction: str, size: int, seed: int, interior_coeffs=None,
-                         exterior_coeffs=None) -> VerificationReport:
+def verify_scale_pairing(direction: str, size: int, seed: int) -> VerificationReport:
     """Certify the pairing between a finite-order side and a smooth side.
 
     ``direction`` says which side carries the polynomially bounded family
     ('interior-finite-order' pairs it against a smooth exterior family and
-    vice versa).  Explicit coefficient overrides replace the managed families
-    and are validated the same way, so a non-decaying smooth side raises
-    :class:`InvalidFamilyError` rather than producing a report.
+    vice versa).
     """
     if direction not in SCALE_DIRECTIONS:
         raise ValueError(f"direction must be one of {SCALE_DIRECTIONS}, got {direction!r}")
@@ -546,12 +543,7 @@ def verify_scale_pairing(direction: str, size: int, seed: int, interior_coeffs=N
         raise ValueError(f"need size >= {_SCALE_MIN_SIZE}: below it the managed families' "
                          "second-half window share can exceed its 1e-6 bound")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    a, b, smooth_side = _scale_families(direction, size, rng)
-    if interior_coeffs is not None:
-        a = np.asarray(interior_coeffs, dtype=complex)
-    if exterior_coeffs is not None:
-        b = np.asarray(exterior_coeffs, dtype=complex)
-    certificate = pairing_tail_certificate(a, b, smooth_side)
+    certificate = pairing_tail_certificate(*_scale_families(direction, size, rng))
     checks = tuple(
         CheckResult(f"{direction}: {name}", value, bound, value < bound)
         for name, value, bound in (

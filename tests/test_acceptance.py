@@ -315,10 +315,7 @@ def test_criterion_8_scale_pairing_roles():
     assert cert.total == pytest.approx(2.0, rel=1e-14)
 
     with pytest.raises(InvalidFamilyError):
-        verify_scale_pairing(
-            "interior-finite-order", 64, seed=11,
-            interior_coeffs=n + 1.0, exterior_coeffs=(n + 1.0) ** 2,
-        )
+        pairing_tail_certificate(n + 1.0, (n + 1.0) ** 2, smooth_side="exterior")
     _report(8, "scale pairing in both roles, divergent configuration rejected")
 
 

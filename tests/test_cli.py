@@ -504,3 +504,39 @@ def test_distance_to_a_huge_curve_does_not_overflow(v_file):
         ["cauchy", "--in", v_file, "--at", "0.1,0", "--M", "64", "--curve", "ellipse:1e300,1"])
     assert (code, out, caught) == (3, "", [])
     assert len(lines) == 1 and lines[0].startswith("numerical validity error: z at distance"), lines
+
+
+# Each curve kind takes a fixed number of parameters.
+@pytest.mark.parametrize("curve, message", [
+    ("ellipse:1.5", "ellipse takes 2 parameter(s), got 1"),
+    ("circle:1,2", "circle takes 1 parameter(s), got 2"),
+    ("perturbed-circle:0.1", "perturbed-circle takes 2 parameter(s), got 1"),
+    ("ellipse:1.5,0.7,3", "ellipse takes 2 parameter(s), got 3"),
+])
+@pytest.mark.parametrize("verb", ["pair", "cauchy"])
+def test_wrong_curve_parameter_counts_are_refused_in_one_line(u_file, v_file, verb, curve, message):
+    argv = (["pair", "--u", u_file, "--v", v_file] if verb == "pair"
+            else ["cauchy", "--in", u_file, "--at", "0.1,0"])
+    code, out, lines, caught = _run_quietly(argv + ["--curve", curve])
+    assert (code, out, lines, caught) == (1, "", [f"error: {message}"], [])
+
+
+# Past 2^53 every float is an integer; the cap also keeps zeta'' in range.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", ["1e308", "1e200"])
+@pytest.mark.parametrize("verb", ["pair", "cauchy"])
+def test_perturbation_wavenumber_beyond_two_to_the_53_is_refused(u_file, v_file, verb, k):
+    argv = (["pair", "--u", u_file, "--v", v_file] if verb == "pair"
+            else ["cauchy", "--in", u_file, "--at", "0.1,0"])
+    code, out, lines, caught = _run_quietly(argv + ["--curve", f"perturbed-circle:0.5,{k}"])
+    assert (code, out, caught) == (1, "", [])
+    assert lines == ["error: perturbation wavenumber must be a positive integer <= 2^53"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("curve", ["circle:1e308", "ellipse:1e308,1e308"])
+def test_arc_length_beyond_the_float_range_is_one_line(u_file, curve):
+    code, out, lines, caught = _run_quietly(
+        ["cauchy", "--in", u_file, "--at", "0.1,0", "--M", "64", "--curve", curve])
+    assert (code, out, caught) == (3, "", [])
+    assert lines == ["numerical validity error: curve arc length exceeds the float range"]

@@ -213,6 +213,17 @@ def test_curve_invariants():
         CurveDescriptor.perturbed_circle(1.2, 3)
     with pytest.raises(ValueError):
         CurveDescriptor.circle(-1.0)
+    assert CurveDescriptor.parse("circle:") == CurveDescriptor.parse("circle") == CIRCLE
+
+
+@pytest.mark.filterwarnings("error")
+def test_wavenumber_cap_keeps_the_jet_finite():
+    curve = CurveDescriptor.perturbed_circle(0.5, 2.0 ** 53)
+    for values in curve._jet(QuadratureGrid(2 ** 14).nodes):
+        assert np.all(np.isfinite(values))
+    for k in (2.0 ** 53 + 2, 1e200, 2.5, 0):
+        with pytest.raises(ValueError, match="wavenumber"):
+            CurveDescriptor.perturbed_circle(0.5, k)
 
 
 # ---------------------------------------------------------------- node geometry cache
@@ -336,7 +347,7 @@ def test_guard_refuses_a_point_between_the_distance_samples():
     bound = curves.PROXIMITY_FACTOR * ELLIPSE.arc_length() / grid.m
     theta = 2 * np.pi * 1024.5 / 4096
     z = _off_curve_point(ELLIPSE, theta, 0.6 * bound, -1)
-    assert np.min(np.abs(curves._dense_points(ELLIPSE) - z)) > bound
+    assert np.min(np.abs(curves._node_geometry(ELLIPSE, curves._SAMPLE_GRID)[0] - z)) > bound
     assert abs(ELLIPSE.distance_to(z) - 0.6 * bound) < 1e-9 * bound
     with pytest.raises(BoundaryProximityError):
         cauchy_integral_quadrature(np.ones(grid.m), ELLIPSE, grid, z)
@@ -363,7 +374,7 @@ def test_distance_is_never_above_the_samples_and_matches_a_fine_sampling():
     rng = np.random.default_rng(11)
     for curve in (CIRCLE, ELLIPSE, WOBBLE, CurveDescriptor.perturbed_circle(0.1, 5)):
         fine = curve.point(np.linspace(0.0, 2 * np.pi, 2 ** 20, endpoint=False))
-        coarse = curves._dense_points(curve)
+        coarse = curves._node_geometry(curve, curves._SAMPLE_GRID)[0]
         for z in rng.uniform(-2.5, 2.5, (25, 2)) @ np.array([1.0, 1j]):
             got = curve.distance_to(z)
             assert got <= np.min(np.abs(coarse - z))

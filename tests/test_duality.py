@@ -374,12 +374,10 @@ def test_scale_suite_passes_both_directions():
 
 
 def test_scale_suite_rejects_override_with_nondecaying_smooth_side():
-    n = np.arange(64, dtype=float)
+    # the suite's finite-order family against a polynomial in place of its smooth side
+    a, _, smooth_side = duality._scale_families("interior-finite-order", 64, np.random.default_rng(3))
     with pytest.raises(InvalidFamilyError):
-        verify_scale_pairing(
-            "interior-finite-order", 64, seed=3,
-            interior_coeffs=n + 1.0, exterior_coeffs=(n + 1.0) ** 2,
-        )
+        pairing_tail_certificate(a, (np.arange(64) + 1.0) ** 2, smooth_side)
 
 
 # sha256 of the canonical report documents for seeds _SCALE_SEEDS, in order,
