@@ -1,5 +1,7 @@
 """Growth families, scale placement, pointwise exponents, decay classes."""
 
+import cmath
+import hashlib
 import math
 import warnings
 
@@ -21,7 +23,7 @@ from diskdual import (
     sobolev_norm,
     trace_interior,
 )
-from diskdual import growth
+from diskdual import formats, growth
 from diskdual.growth import build_growth_report
 
 
@@ -386,3 +388,19 @@ def test_growth_report_consistency():
     assert all(b >= a * (1 - 1e-12) for a, b in zip(norms, norms[1:]))
     doc = report.to_doc()
     assert doc["s_min_estimate"] == -1 and doc["s_min_flag"] == "ok"
+
+
+# sha256 of the canonical report at sizes whose weight passes are split
+# across CPUs, taken before any pass was split (like the CLI goldens, under
+# numpy's AVX-512 dispatch); on one CPU the same bytes come from the serial path.
+LARGE_REPORT_DIGESTS = {
+    (1.5, 0.3, 2 ** 18): "b8e302f8184e5d9a5cf3e1773ff2d478e2482c1be9546f1fdddf6470e8bedec8",
+    (2.25, -1.1, 2 ** 20): "c5b22a9cbee567a7d8de252154bdf223fa005efa670c3758b08b7c3c6508b726",
+}
+
+
+@pytest.mark.parametrize("gamma, angle, degree", sorted(LARGE_REPORT_DIGESTS))
+def test_large_growth_reports_are_unchanged(gamma, angle, degree):
+    report = build_growth_report(GrowthFamilySpec(cmath.exp(1j * angle), gamma, degree), range(-4, 4))
+    digest = hashlib.sha256(formats.canonical_json(report.to_doc()).encode()).hexdigest()
+    assert digest == LARGE_REPORT_DIGESTS[gamma, angle, degree]
