@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import re
 import sys
 
 import numpy as np
@@ -27,6 +28,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token with a minus then a digit, a point and a digit, inf or nan is
+        # a value, not a flag: before Python 3.13 argparse reads -1e300 as one.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):
         raise _UsageError(message)
 

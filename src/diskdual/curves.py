@@ -106,27 +106,31 @@ class CurveDescriptor:
             raise ValueError(f"bad curve parameters in {text!r}") from exc
         return cls(name, params or ((1.0,) if name == "circle" else ()))
 
-    def _jet(self, theta, lib=np):
-        """zeta, zeta' and zeta'' at theta: arrays with numpy, one float with _SCALAR.
+    def _jet(self, theta, lib=np, second=False):
+        """zeta and zeta' at theta, then zeta'' if ``second``: arrays with numpy, one float with _SCALAR.
 
         The complex array expressions and their temporaries fix the rounding:
         from M = 2^14 on numpy may multiply into a complex temporary in place.
+        Only the Newton step of :meth:`distance_to` asks for zeta''.
         """
         o = self.orientation
         t = o * theta
         if self.kind == "circle":
             r = self.params[0]
             zeta = r * lib.exp(1j * t)
-            return zeta, o * (1j * r * lib.exp(1j * t)), -zeta
-        if self.kind == "ellipse":
+            jet = zeta, o * (1j * r * lib.exp(1j * t))
+        elif self.kind == "ellipse":
             p, q = self.params
             zeta = p * lib.cos(t) + 1j * q * lib.sin(t)
-            return zeta, o * (-p * lib.sin(t) + 1j * q * lib.cos(t)), -zeta
-        eps, k = self.params
-        c, s = lib.cos(k * t), lib.sin(k * t)
-        return ((1.0 + eps * c) * lib.exp(1j * t),
-                o * (lib.exp(1j * t) * (1j * (1.0 + eps * c) - eps * k * s)),
-                lib.exp(1j * t) * (-eps * k * k * c + 2j * (-eps * k * s) - (1.0 + eps * c)))
+            jet = zeta, o * (-p * lib.sin(t) + 1j * q * lib.cos(t))
+        else:
+            eps, k = self.params
+            c, s = lib.cos(k * t), lib.sin(k * t)
+            jet = ((1.0 + eps * c) * lib.exp(1j * t),
+                   o * (lib.exp(1j * t) * (1j * (1.0 + eps * c) - eps * k * s)))
+            if second:
+                return jet + (lib.exp(1j * t) * (-eps * k * k * c + 2j * (-eps * k * s) - (1.0 + eps * c)),)
+        return jet + (-jet[0],) if second else jet
 
     def point(self, theta):
         """Position zeta(theta); accepts scalars or arrays."""
@@ -159,7 +163,7 @@ class CurveDescriptor:
         spacing = _SAMPLE_GRID.weight
         theta, lo, hi = j * spacing, (j - 1) * spacing, (j + 1) * spacing
         for _ in range(_NEWTON_STEPS):
-            zeta, d1, d2 = self._jet(theta, _SCALAR)
+            zeta, d1, d2 = self._jet(theta, _SCALAR, second=True)
             gap = zeta - z
             best = min(best, abs(gap))
             slope = (gap.conjugate() * d1).real
@@ -208,7 +212,7 @@ _SAMPLE_GRID = QuadratureGrid(4096)
 @lru_cache(maxsize=8)
 def _node_geometry(curve: CurveDescriptor, grid: QuadratureGrid) -> tuple[np.ndarray, np.ndarray]:
     """Read-only zeta(theta_j) and zeta'(theta_j) on the grid, computed once per (curve, M)."""
-    zeta, dzeta, _ = curve._jet(grid.nodes)
+    zeta, dzeta = curve._jet(grid.nodes)
     zeta.flags.writeable = False
     dzeta.flags.writeable = False
     return zeta, dzeta

@@ -182,14 +182,32 @@ def hardy_projections(
             _wrap(ExteriorFunction, b, index=out_index))
 
 
+def _zero_extended(c: np.ndarray, size: int) -> np.ndarray:
+    """c followed by zeros up to ``size`` entries; c itself when it has that many."""
+    if c.size == size:
+        return c
+    out = np.zeros(size, dtype=complex)
+    out[: c.size] = c
+    return out
+
+
 def jump_residual(f: BoundaryDistribution) -> float:
     """L2 size of u|bd - v_plus|bd - f for the Hardy split of f.
 
     Zero up to rounding for every finitely supported distribution: the split
-    is exact in the coefficient representation.
+    is exact in the coefficient representation.  The traces live on the
+    disjoint sides n >= 0 and n < 0, so the residual is formed side by side
+    against f's part there, with no zero-filled union window, and the two L2
+    sizes are combined.
     """
     u, v_plus = hardy_projections(f)
-    return sobolev_norm(trace_interior(u) - trace_exterior(v_plus) - f, 0.0)
+    a, b = u.coeffs, v_plus.coeffs
+    # c_n for n = 0, 1, ... and for n = -1, -2, ..., each over the wider window
+    upper = pad_or_truncate(f, 0, max(a.size - 1, f.n_max, 0)).coeffs
+    lower = pad_or_truncate(f, min(-b.size, f.n_min, -1), -1).coeffs[::-1]
+    # the residual is a_n - c_n at n >= 0 and -(b_m + c_-m) at n = -m < 0
+    sides = (_zero_extended(a, upper.size) - upper, _zero_extended(b, lower.size) + lower)
+    return math.hypot(*(sobolev_norm(_wrap(BoundaryDistribution, side, n_min=0), 0.0) for side in sides))
 
 
 def evaluate_interior(u: InteriorFunction, z: complex) -> complex:

@@ -14,12 +14,15 @@ n = n_min .. n_max.  Conventions used by the whole package:
 
 The circle is positively (counterclockwise) oriented and i = +sqrt(-1).
 All containers are immutable after construction and every function here is
-pure, so concurrent use needs no locking.
+pure (the one shared state is a thread pool, started on the first large
+weight pass), so concurrent use needs no locking.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +222,76 @@ def fourier_synthesize(f: BoundaryDistribution, m: int) -> np.ndarray:
 # is taken in the log domain, good to about |t| ulps.
 _DIRECT_LOG2, _MANTISSA_POW, _INDEX_MAX = 1000.0, 1000.0, 2.0 ** 53
 
+# A direct pass over at least 2 * _CHUNK weights is cut into up to one chunk
+# per CPU the process may run on, each of at least about _CHUNK weights.  On
+# a 2-CPU Xeon a power-and-multiply pass over 2^17 weights went from 0.62 to
+# 0.47 ms (medians of 60) when split in two, one over 2^16 stayed at 0.30 ms.
+# Chunk bounds are multiples of _ALIGN elements, so every chunk keeps the
+# SIMD path and the alignment it has in the whole array and each bit is the
+# serial one.  Sums over the terms stay serial: their pairwise order depends
+# on blocking.
+_CHUNK, _ALIGN = 2 ** 16, 64
+_pool, _pool_lock = None, threading.Lock()
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without an affinity mask
+        return os.cpu_count() or 1
+
+
+def _forget_pool() -> None:
+    """A forked child inherits the pool object but not its threads, and perhaps a held lock."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _split_pool(cpus: int):
+    """The worker threads of split passes, one fewer than ``cpus``, started on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:  # imported here: the CLI's small arrays never need it
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(cpus - 1, thread_name_prefix="diskdual-split")
+        return _pool
+
+
+def _power_times(base: np.ndarray, t: float, scaled: np.ndarray, weights: np.ndarray, terms: np.ndarray):
+    """np.power(base, t, out=weights) then np.multiply(weights, scaled, out=terms), bit for bit.
+
+    Worker threads do not see the caller's np.errstate, so only passes that
+    raise no floating-point flag may come here: base >= 1 with finite
+    weights, and scaled <= 1.  Underflow in the product is the one flag left,
+    so a caller that does not ignore it gets the serial pass.  The chunks
+    are plain numpy calls and never submit work, so concurrent callers
+    cannot deadlock on the pool.
+    """
+    size = base.size
+    cpus = _cpus() if size >= 2 * _CHUNK else 1
+    parts = min(size // _CHUNK, cpus)
+    if parts < 2 or np.geterr()["under"] != "ignore":
+        np.power(base, t, out=weights)
+        return np.multiply(weights, scaled, out=terms)
+
+    def run(lo, hi):
+        np.power(base[lo:hi], t, out=weights[lo:hi])
+        np.multiply(weights[lo:hi], scaled[..., lo:hi], out=terms[..., lo:hi])
+
+    pool = _split_pool(cpus)
+    bounds = [size * k // parts // _ALIGN * _ALIGN for k in range(parts)] + [size]
+    pending = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        run(bounds[0], bounds[1])
+    finally:  # no chunk may still write once the caller has its buffers back
+        for job in pending:
+            job.result()
+    return terms
+
 
 def _weighted_squares(mags: np.ndarray, n_min: int, indices):
     """Yield (terms, exponent) per index t with terms * 2**exponent = (1 + n^2)^t mags^2.
@@ -261,8 +334,7 @@ def _weighted_squares(mags: np.ndarray, n_min: int, indices):
             base *= base
             base += 1.0
         if abs(t) * reach + count < _DIRECT_LOG2:
-            np.power(base, t, out=weights)
-            yield np.multiply(weights, scaled, out=terms), 2 * shift
+            yield _power_times(base, t, scaled, weights, terms), 2 * shift
             continue
         if split is None:
             split = (mb, eb), (squares, ec) = np.frexp(base), np.frexp(mags)

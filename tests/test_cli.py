@@ -540,3 +540,24 @@ def test_arc_length_beyond_the_float_range_is_one_line(u_file, curve):
         ["cauchy", "--in", u_file, "--at", "0.1,0", "--M", "64", "--curve", curve])
     assert (code, out, caught) == (3, "", [])
     assert lines == ["numerical validity error: curve arc length exceeds the float range"]
+
+
+# Before Python 3.13 argparse reads a minus followed by an exponent-form
+# number as a flag ("expected one argument"); every negative number is a value.
+def test_negative_exponent_form_index_beyond_the_scale_is_one_exit_3_line(u_file):
+    code, out, lines, caught = _run_quietly(["norm", "--in", u_file, "--sp", "-1e300"])
+    assert (code, out, caught) == (3, "", [])
+    assert lines == ["numerical validity error: Sobolev index -1e+300 is not finite or exceeds 2^53 in magnitude"]
+
+
+@pytest.mark.parametrize("verb, option, spaced, joined", [
+    ("norm", "--sp", "-2e0", "-2.0"),
+    ("project", "--boundary-index", "-1e-1", "-0.1"),
+    ("growth", "--z0", "-1E0,-0e0", "-1.0,-0.0"),
+    ("growth", "--s-grid", "-4:3", "-4:3"),
+])
+def test_negative_values_read_as_with_an_equals_sign(u_file, verb, option, spaced, joined):
+    head = ["growth", "--gamma", "2", "--N", "64"] if verb == "growth" else [verb, "--in", u_file]
+    spaced_run = _run_quietly(head + [option, spaced])
+    assert spaced_run[0] == 0 and spaced_run[2:] == ([], [])
+    assert spaced_run[:2] == _run_quietly(head + [f"{option}={joined}"])[:2]

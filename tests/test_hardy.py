@@ -172,6 +172,49 @@ def test_jump_residual_is_exactly_zero_on_spectral_data():
         assert jump_residual(f) == 0.0
 
 
+def _union_residual(f):
+    """The residual as the containers' zero-padded union: u|bd - v_plus|bd - f, then its L2 norm."""
+    u, v_plus = hardy.hardy_projections(f)
+    return sobolev_norm(trace_interior(u) - trace_exterior(v_plus) - f, 0.0)
+
+
+# windows wholly below 0, wholly above it, single coefficients on either side,
+# and huge and tiny data that a squared sum would take out of the float range
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_min, coeffs", [
+    (-7, [1.0, -2j, 3.0, 0.0, -0.0, 4 + 1j, 5.0]),
+    (-1, [complex(-0.0, -0.0)]),
+    (2, [1.0, 2.0, -3j]),
+    (0, [1.0, 2.0]),
+    (5, [1e300j]),
+    (-3, [1e-310]),
+    (0, [-1.5]),
+    (-4, [1e300, -1e300, 1e-300, 7.0, 1e300 + 1e300j, -2.0]),
+])
+def test_jump_residual_on_edge_windows(n_min, coeffs):
+    f = BoundaryDistribution(n_min, coeffs)
+    assert jump_residual(f) == _union_residual(f) == 0.0
+
+
+@pytest.mark.parametrize("side", ["interior", "exterior", "dropped exterior"])
+def test_jump_residual_sees_a_wrong_split(monkeypatch, side):
+    f = BoundaryDistribution(-5, np.arange(1.0, 12.0) * (1 - 1j))
+    exact = hardy.hardy_projections
+
+    def wrong(g, boundary_index=-0.5):
+        u, v_plus = exact(g, boundary_index)
+        if side == "interior":
+            return InteriorFunction(u.coeffs + np.eye(u.coeffs.size)[2] * 1e-3), v_plus
+        if side == "exterior":
+            return u, ExteriorFunction(v_plus.coeffs * (1 + 1e-12))
+        return u, ExteriorFunction([])
+
+    monkeypatch.setattr(hardy, "hardy_projections", wrong)
+    residual = jump_residual(f)
+    assert residual > 0
+    assert residual == pytest.approx(_union_residual(f), rel=1e-15)
+
+
 @settings(deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), index=st.floats(-400.0, 400.0, allow_nan=False),
        span=st.integers(1, 40))

@@ -1,9 +1,17 @@
 """Coefficient algebra: transforms, norms, pairings, and their estimates."""
 
 import hashlib
+import inspect
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 import warnings
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -550,6 +558,152 @@ def test_zero_data_has_norm_zero_on_the_whole_scale():
 def test_sobolev_index_out_of_range_is_refused(index):
     with pytest.raises(InvalidDataError, match="exceeds 2\\^53"):
         sobolev_norm(BoundaryDistribution.from_modes({0: 1.0, 3: 1.0}), index)
+
+
+# ---------------------------------------------------------------- split passes
+# A direct pass over at least 2 * _CHUNK weights runs in chunks on several
+# threads.  Its bits must be the serial ones, on every SIMD dispatch.
+
+_SPLIT_MIN = 2 * spectral._CHUNK
+_SPLIT_SIZES = [_SPLIT_MIN - 1, _SPLIT_MIN, _SPLIT_MIN + 1, 3 * _SPLIT_MIN + 7, 2 ** 20 + 1]
+_SPLIT_INDICES = [-4.5, -0.5, 0.0, 2.5, 39.5]
+
+
+def _split_matches_serial(size, t, rows):
+    """The kernel's terms split across four CPUs, against the serial ones bit for bit.
+
+    Each row's largest magnitude lies in [1/2, 1), so the kernel scales by
+    2^0 and its direct terms are np.power(1 + n^2, t) * mags^2 itself.  Where
+    those weights leave the float range the kernel's serial log-domain branch
+    runs instead, and the split run is compared with a one-CPU run.
+    """
+    rng = np.random.default_rng(size)
+    mags = rng.random(rows + (size,)) * 0.5
+    mags[..., ::3] *= 1e-160  # squares and terms in the subnormal range
+    mags[..., 0] = 0.75
+    cpus = spectral._cpus
+    try:
+        spectral._cpus = lambda: 4
+        split, _ = next(spectral._weighted_squares(mags, 0, (t,)))
+        spectral._cpus = lambda: 1
+        serial, _ = next(spectral._weighted_squares(mags, 0, (t,)))
+    finally:
+        spectral._cpus = cpus
+    if abs(t) * math.log2(1 + (size - 1) ** 2) + math.log2(size) < spectral._DIRECT_LOG2:
+        n = np.arange(size, dtype=float)
+        serial = np.power(1 + n * n, t) * (mags * mags)
+    return np.array_equal(split.view(np.int64), serial.view(np.int64))
+
+
+@pytest.mark.parametrize("rows", [(), (2,)], ids=["row", "block"])
+@pytest.mark.parametrize("t", _SPLIT_INDICES)
+@pytest.mark.parametrize("size", _SPLIT_SIZES)
+def test_split_passes_are_the_serial_expression_bit_for_bit(size, t, rows):
+    assert _split_matches_serial(size, t, rows)
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_NO_AVX512 = "AVX512F AVX512CD AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR X86_V4"
+
+
+def _python(code, **env):
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=path, **env))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_split_passes_are_serial_bit_for_bit_without_avx512():
+    # split against serial inside that process; its bytes may differ from these
+    cases = [(size, t, rows) for size in _SPLIT_SIZES for t in _SPLIT_INDICES for rows in [(), (2,)]]
+    code = "\n".join(["import math", "import numpy as np", "from diskdual import spectral",
+                      inspect.getsource(_split_matches_serial),
+                      f"print([c for c in {cases!r} if not _split_matches_serial(*c)])"])
+    assert _python(code, NPY_DISABLE_CPU_FEATURES=_NO_AVX512) == "[]\n"
+
+
+def test_a_norm_below_the_split_size_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(spectral, "_cpus", lambda: 4)
+    monkeypatch.setattr(spectral, "_pool", None)
+    threads = threading.active_count()
+    for size in (2 ** 16 + 1, _SPLIT_MIN - 1):
+        sobolev_norm(BoundaryDistribution(0, np.ones(size)), 1.5)
+    assert spectral._pool is None and threading.active_count() == threads
+
+
+def test_importing_the_cli_does_not_import_concurrent_futures():
+    assert _python("import sys, diskdual.cli; print('concurrent.futures' in sys.modules)") == "False\n"
+
+
+def test_a_caller_that_traps_underflow_gets_the_serial_pass(monkeypatch):
+    # the product underflows only in the last chunk, which a worker would take
+    monkeypatch.setattr(spectral, "_cpus", lambda: 4)
+    mags = np.full(2 ** 18, 0.5)
+    mags[-1] = 1e-150
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+        next(spectral._weighted_squares(mags, 0, (-4.5,)))
+
+
+def test_concurrent_callers_share_one_pool_and_keep_the_serial_bits(monkeypatch):
+    # more callers than CPUs, switching threads as often as the interpreter allows
+    import concurrent.futures
+
+    started = []
+
+    class CountedPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):  # slow, so that racing callers meet here
+            started.append(self)
+            time.sleep(0.02)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
+    monkeypatch.setattr(spectral, "_cpus", lambda: 3)
+    monkeypatch.setattr(spectral, "_pool", None)
+    f = BoundaryDistribution(0, np.random.default_rng(6).standard_normal(_SPLIT_MIN + 129))
+    n = f.frequencies.astype(float)
+    expected = float(np.sqrt(np.sum(np.power(1.0 + n * n, -1.5) * np.abs(f.coeffs) ** 2)))
+    results, start = [], threading.Barrier(6)
+
+    def call():
+        start.wait(60)
+        for _ in range(5):
+            results.append(sobolev_norm(f, -1.5))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call) for _ in range(6)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(started) == 1 and results == [expected] * 30
+
+
+def _send_norm(conn, f):
+    conn.send(sobolev_norm(f, 2.5))
+    conn.close()
+
+
+def test_a_forked_child_splits_on_a_fresh_pool(monkeypatch):
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+    monkeypatch.setattr(spectral, "_pool", None)
+    f = BoundaryDistribution(0, np.random.default_rng(4).standard_normal(2 ** 18))
+    expected = sobolev_norm(f, 2.5)
+    assert spectral._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_norm, args=(send, f))
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        pytest.fail("the forked child hung on the inherited pool")
+    assert child.exitcode == 0 and receive.recv() == expected
 
 
 # ---------------------------------------------------------------- the whole scale
