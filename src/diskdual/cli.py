@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import re
 import sys
 
@@ -65,8 +66,15 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_radii(text: str) -> list[float]:
-    return [float(p) for p in text.split(",")]
+    return [finite_float(p) for p in text.split(",")]
 
 
 def _pair(z: complex) -> list[float]:
@@ -168,7 +176,7 @@ def build_parser() -> _Parser:
     mode.add_argument("--family", action="store_true",
                       help="boundary-singularity family (needs --gamma, --z0)")
     mode.add_argument("--random", choices=("boundary", "interior", "exterior"))
-    gen.add_argument("--gamma", type=float, default=1.0)
+    gen.add_argument("--gamma", type=finite_float, default=1.0)
     gen.add_argument("--z0", type=_parse_complex, default=complex(1.0, 0.0))
     gen.add_argument("--N", dest="n", type=non_negative_int, required=True)
     gen.add_argument("--seed", type=non_negative_int, default=None)
@@ -176,7 +184,7 @@ def build_parser() -> _Parser:
 
     norm = sub.add_parser("norm", help="boundary Sobolev norm of a coefficient file")
     norm.add_argument("--in", dest="infile", required=True)
-    norm.add_argument("--sp", type=float, required=True, help="boundary Sobolev index")
+    norm.add_argument("--sp", type=finite_float, required=True, help="boundary Sobolev index")
     norm.set_defaults(handler=_cmd_norm)
 
     pair = sub.add_parser("pair", help="both boundary pairings of two coefficient files")
@@ -195,7 +203,7 @@ def build_parser() -> _Parser:
 
     project = sub.add_parser("project", help="Hardy split and jump residual")
     project.add_argument("--in", dest="infile", required=True)
-    project.add_argument("--boundary-index", type=float, default=-0.5)
+    project.add_argument("--boundary-index", type=finite_float, default=-0.5)
     project.set_defaults(handler=_cmd_project)
 
     dualize = sub.add_parser("dualize", help="exterior representative of a boundary functional")
@@ -214,7 +222,7 @@ def build_parser() -> _Parser:
     verify.set_defaults(handler=_cmd_verify)
 
     grow = sub.add_parser("growth", help="growth exponent fit and scale placement")
-    grow.add_argument("--gamma", type=float, required=True)
+    grow.add_argument("--gamma", type=finite_float, required=True)
     grow.add_argument("--z0", type=_parse_complex, default=complex(1.0, 0.0))
     grow.add_argument("--N", dest="n", type=int, default=4096)
     grow.add_argument("--s-grid", dest="s_grid", type=_parse_int_grid, default=list(range(-4, 4)))

@@ -221,7 +221,7 @@ def _node_geometry(curve: CurveDescriptor, grid: QuadratureGrid) -> tuple[np.nda
 @lru_cache(maxsize=None)
 def _arc_length(curve: CurveDescriptor) -> float:
     with np.errstate(over="ignore"):
-        length = float(_SAMPLE_GRID.weight * np.sum(np.abs(_node_geometry(curve, _SAMPLE_GRID)[1])))
+        length = float(_SAMPLE_GRID.weight * np.abs(_node_geometry(curve, _SAMPLE_GRID)[1]).sum())
     if not math.isfinite(length):
         raise InvalidDataError("curve arc length exceeds the float range")
     return length
@@ -236,10 +236,10 @@ def contour_integral(values, curve: CurveDescriptor, grid: QuadratureGrid) -> co
     vals = np.asarray(values, dtype=complex)
     if vals.shape != (grid.m,):
         raise ValueError(f"expected {grid.m} node values, got shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise InvalidDataError("contour integrand contains non-finite node values")
     with np.errstate(over="ignore", invalid="ignore"):
-        total = complex(grid.weight * np.sum(vals * _node_geometry(curve, grid)[1]))
+        total = complex(grid.weight * (vals * _node_geometry(curve, grid)[1]).sum())
     if not cmath.isfinite(total):
         raise InvalidDataError("contour integral exceeds the float range")
     return total
@@ -287,7 +287,7 @@ def interior_node_values(u: InteriorFunction, curve: CurveDescriptor, grid: Quad
 def exterior_node_values(v: ExteriorFunction, curve: CurveDescriptor, grid: QuadratureGrid):
     """Values of the Laurent tail of v at the curve's grid points."""
     zeta = _node_geometry(curve, grid)[0]
-    if np.min(np.abs(zeta)) == 0.0:
+    if np.abs(zeta).min() == 0.0:
         raise ValueError("curve passes through the origin; Laurent values undefined")
     if v.coeffs.size == 0:
         return np.zeros(grid.m, dtype=complex)

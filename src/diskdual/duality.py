@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import spectral
 from .errors import DegenerateInputError, InvalidDataError, InvalidFamilyError, TruncationError
 from .growth import classify_decay
 from .hardy import ExteriorFunction, InteriorFunction, hardy_projections, trace_interior
@@ -75,6 +76,16 @@ _SUITE_ITERATIONS = 8
 # ran slower than one trial at a time.  On a 2-vCPU Xeon with a 2 MB L2,
 # budgets of 1-2 MB ran fastest from N = 32 to 4096; 8 MB ran slower.
 _BLOCK_BYTES = 1 << 20
+# A block of at least two brute-force probe rows of at least this many
+# normals each is drawn on up to one thread per CPU the process may run on
+# (spectral's pool), one contiguous range of rows each.  Each row has its own
+# generator and its own slice, and numpy fills it with the GIL released, so
+# every bit is the serial one.  On a 2-CPU Xeon, rows of 8 * 2 * N normals
+# drawn serially, then on two threads, took (medians of 200) 355 -> 767 us
+# for 16 rows at N = 32, 461 -> 433 and 356 -> 389 us for 8 rows at N = 128
+# (2^11 normals a row), 759 -> 513 us for 8 rows at N = 256 (2^12) and
+# 1305 -> 730 us for 4 rows at N = 1024.
+_DRAW_SPLIT_NORMALS = 2 ** 12
 
 
 def _integer_scale(s) -> int:
@@ -165,8 +176,8 @@ def _pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[0] == 1:
         # numpy multiplies a lone 1 x 1 complex block outside its vector loop,
         # which rounds differently; the 1-D product takes the block's loop.
-        return np.sum(a[0, :k] * b[:k], keepdims=True)
-    return np.sum(a[:, :k] * b[:k], axis=1)
+        return (a[0, :k] * b[:k]).sum(keepdims=True)
+    return (a[:, :k] * b[:k]).sum(axis=1)
 
 
 def apply_functional(functional: DualFunctional, u: InteriorFunction) -> complex:
@@ -224,8 +235,20 @@ def _bruteforce_rows(b: np.ndarray, mags: np.ndarray, s: int, degree_cap: int, i
     # (iterations, 2, cap) per row consumes its stream in the order of one
     # real and one imaginary draw per probe.
     draws = np.empty((count, iterations, 2, degree_cap))
-    for index, seed in enumerate(seeds):
-        np.random.default_rng(seed).standard_normal(out=draws[index])
+
+    def draw(lo, hi):
+        for index in range(lo, hi):
+            np.random.default_rng(seeds[index]).standard_normal(out=draws[index])
+
+    cpus = spectral._cpus() if count >= 2 and draws[0].size >= _DRAW_SPLIT_NORMALS else 1
+    parts = min(count, cpus)
+    bounds = [count * k // parts for k in range(parts + 1)]
+    pending = [spectral._split_pool(cpus).submit(draw, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+    try:
+        draw(bounds[0], bounds[1])
+    finally:  # no thread may still write once the draws are read
+        for job in pending:
+            job.result()
     probes[:, 1:].real = draws[:, :, 0]
     probes[:, 1:].imag = draws[:, :, 1]
     del draws  # freed before the probes are normed, where the peak lies
@@ -461,14 +484,14 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
                 drawn, *_dual_norm_parts(mags, s), probe_roots, probe_scales, brute):
             functional = functional_from_exterior(v, s)
             recovered = reconstruct_exterior_from_blackbox(functional, degree_cap, s)
-            inj_err = max(inj_err, float(np.max(np.abs(recovered.coeffs - v.coeffs))))
+            inj_err = max(inj_err, float(np.abs(recovered.coeffs - v.coeffs).max()))
 
             rep = represent_functional(w, s)
             raw = koethe_pairing(trace_interior(probe), w)
             through = apply_functional(functional_from_exterior(rep, s), probe)
             sur_err = max(sur_err, abs(through - raw))
             k = min(probe.coeffs.size, rep.coeffs.size)
-            sur_terms_max = max(sur_terms_max, float(np.sum(np.abs(probe.coeffs[:k] * rep.coeffs[:k]))))
+            sur_terms_max = max(sur_terms_max, float(np.abs(probe.coeffs[:k] * rep.coeffs[:k]).sum()))
 
             ratio = _trace_ratio(root, scale, denom, denom_scale)
             if ratio is None:

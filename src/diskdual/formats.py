@@ -51,7 +51,7 @@ def _array(pairs, what: str) -> np.ndarray:
         raise ValueError(f"{what}: coeffs must be a list of [re, im] pairs") from exc
     except OverflowError:  # an integer literal beyond the float range, read like 1e400
         raise InvalidDataError(f"{what}: non-finite coefficient") from None
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidDataError(f"{what}: non-finite coefficient")
     return arr
 

@@ -131,7 +131,7 @@ def growth_family_coeffs(spec: GrowthFamilySpec) -> InteriorFunction:
     # finiteness check.  Its copy stays: handing this array over uncopied was
     # measured to slow the placement that follows by more than the copy costs.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.cumprod(a, out=a)
+        a.cumprod(out=a)
     return InteriorFunction(a)
 
 
@@ -218,10 +218,10 @@ def pointwise_growth_exponent(u: InteriorFunction, z0: complex, radii) -> Growth
     r = np.asarray(radii, dtype=float)
     if r.ndim != 1 or r.size < 2:
         raise ValueError("need at least two radii")
-    if not (np.all(np.diff(r) > 0) and r[0] > 0 and r[-1] < 1.0 - 1e-6):
+    if not ((np.diff(r) > 0).all() and r[0] > 0 and r[-1] < 1.0 - 1e-6):
         raise ValueError("radii must increase strictly within (0, 1 - 1e-6)")
     vals = np.abs(np.array([evaluate_interior(u, ri * z0) for ri in r]))
-    if np.any(vals == 0):
+    if (vals == 0).any():
         raise DegenerateInputError("function vanishes on the sample radii")
     slope, intercept = np.polyfit(-np.log1p(-r), np.log(vals), 1)
     warn = u.coeffs.size < (max(slope, 0.0) + 10.0) / (1.0 - r[-1])
@@ -270,4 +270,4 @@ def build_growth_report(spec: GrowthFamilySpec, s_grid, radii=None) -> GrowthRep
     for s, value in estimate.norm_curve:
         if not math.isfinite(value):
             raise InvalidDataError(f"trace norm of index {s - 0.5} exceeds the float range")
-    return GrowthReport(fit, float(1.0 - np.min(np.asarray(radii, dtype=float))), estimate)
+    return GrowthReport(fit, float(1.0 - np.asarray(radii, dtype=float).min()), estimate)

@@ -66,13 +66,14 @@ def _series(c: np.ndarray, z: complex) -> complex:
     c = np.ascontiguousarray(c)
     while c.size > 1:
         width = min(c.size, _SERIES_BLOCK)
-        powers = np.full(width, z)
+        powers = np.empty(width, dtype=complex)
+        powers.fill(z)
         powers[0] = 1.0
-        np.cumprod(powers, out=powers)
+        powers.cumprod(out=powers)
         full = c.size - c.size % width
         sums = c[:full].reshape(-1, width) @ powers
         if full < c.size:
-            sums = np.append(sums, c[full:] @ powers[: c.size - full])
+            sums = np.concatenate((sums, [c[full:] @ powers[: c.size - full]]))
         c, z = sums, powers[-1] * z
     return complex(c[0])
 

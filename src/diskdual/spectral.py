@@ -15,7 +15,7 @@ n = n_min .. n_max.  Conventions used by the whole package:
 The circle is positively (counterclockwise) oriented and i = +sqrt(-1).
 All containers are immutable after construction and every function here is
 pure (the one shared state is a thread pool, started on the first large
-weight pass), so concurrent use needs no locking.
+weight pass or probe draw), so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = [
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise InvalidDataError(f"{what} contain non-finite entries")
 
 
@@ -106,10 +106,10 @@ class BoundaryDistribution:
     def nonzero_window(self) -> tuple[int, int] | None:
         """(lowest, highest) frequency with a nonzero coefficient, or None."""
         nonzero = self.coeffs != 0
-        first = int(np.argmax(nonzero))
+        first = int(nonzero.argmax())
         if not nonzero[first]:
             return None
-        last = nonzero.size - 1 - int(np.argmax(nonzero[::-1]))
+        last = nonzero.size - 1 - int(nonzero[::-1].argmax())
         return self.n_min + first, self.n_min + last
 
     def is_zero(self) -> bool:
@@ -298,17 +298,18 @@ def _weighted_squares(mags: np.ndarray, n_min: int, indices):
 
     ``mags`` holds magnitudes along its last axis at n = n_min, n_min + 1, ...;
     each row has its own even exponent (shape ``mags.shape[:-1]``) and sums
-    to less than 2^1000.  The yielded buffer is reused for the next index,
-    and no later index reads it.  While |t| log2(1 + max n^2) + log2(size)
-    < 1000 the weights are np.power(1 + n^2, t) and each row is scaled by a
-    power of two, so the terms are the direct expression scaled exactly.  At
-    t = 0 the weights are exactly 1, so the terms are the scaled squares and
-    the array 1 + n^2 is built only for the first t != 0.  Otherwise every
-    weight and square is split into mantissa and exponent (Blue, ACM TOMS 4(1),
-    1978; Anderson, ACM TOMS 44(1), 2017), the terms are formed relative to
-    the row's largest one, and those below 2^-1074 of it become zero.  An
-    index that is not finite or exceeds 2^53 in magnitude raises
-    :class:`InvalidDataError`.
+    to less than 2^1000.  ``indices`` is a sequence.  The yielded buffer is
+    reused for the next index, and no later index reads it.  While
+    |t| log2(1 + max n^2) + log2(size) < 1000 the weights are
+    np.power(1 + n^2, t) and each row is scaled by a power of two, so the
+    terms are the direct expression scaled exactly.  At t = 0 the weights are
+    exactly 1, so the terms are the scaled squares, yielded uncopied when no
+    index follows, and the array 1 + n^2 is built only for the first t != 0.
+    Otherwise every weight and square is split into mantissa and exponent
+    (Blue, ACM TOMS 4(1), 1978; Anderson, ACM TOMS 44(1), 2017), the terms
+    are formed relative to the row's largest one, and those below 2^-1074 of
+    it become zero.  An index that is not finite or exceeds 2^53 in
+    magnitude raises :class:`InvalidDataError`.
     """
     size = mags.shape[-1]
     base = None
@@ -322,11 +323,15 @@ def _weighted_squares(mags: np.ndarray, n_min: int, indices):
     scaled *= scaled
     weights = np.empty(size)
     terms, split = weights if mags.ndim == 1 else np.empty(mags.shape), None
-    for t in indices:
+    last = len(indices) - 1
+    for position, t in enumerate(indices):
         if not abs(t) <= _INDEX_MAX:
             raise InvalidDataError(f"Sobolev index {t!r} is not finite or exceeds 2^53 in magnitude")
         if t == 0:  # (1 + n^2)^0 is exactly 1
-            np.copyto(terms, scaled)
+            if position == last:
+                yield scaled, 2 * shift
+                return
+            np.copyto(terms, scaled)  # a later index reads scaled, and the caller may overwrite terms
             yield terms, 2 * shift
             continue
         if base is None:
@@ -350,7 +355,7 @@ def _weighted_squares(mags: np.ndarray, n_min: int, indices):
         mant *= np.power(np.ldexp(1.0, eb), t - whole)
         mant, grow = np.frexp(np.multiply(mant, squares, out=terms))
         expo = expo + 2.0 * ec + grow
-        top = np.max(expo, axis=-1, where=mags > 0, initial=-2.0 ** 62, keepdims=True)
+        top = expo.max(axis=-1, where=mags > 0, initial=-2.0 ** 62, keepdims=True)
         top += top % 2
         np.ldexp(mant, np.clip(expo - top, -1100, 0).astype(np.intc), out=terms)
         yield terms, top[..., 0]
@@ -398,7 +403,7 @@ def l2_pairing(f: BoundaryDistribution, g: BoundaryDistribution) -> complex:
         return 0j
     fa = f.coeffs[lo - f.n_min: hi - f.n_min + 1]
     ga = g.coeffs[lo - g.n_min: hi - g.n_min + 1]
-    return complex(np.sum(fa * np.conj(ga)))
+    return complex((fa * np.conj(ga)).sum())
 
 
 def koethe_pairing(f: BoundaryDistribution, g: BoundaryDistribution) -> complex:
@@ -414,7 +419,7 @@ def koethe_pairing(f: BoundaryDistribution, g: BoundaryDistribution) -> complex:
         return 0j
     fa = f.coeffs[lo - f.n_min: hi - f.n_min + 1]
     ga = g.coeffs[(-1 - hi) - g.n_min: (-1 - lo) - g.n_min + 1][::-1]
-    return complex(np.sum(fa * ga))
+    return complex((fa * ga).sum())
 
 
 def pad_or_truncate(f: BoundaryDistribution, n_lo: int, n_hi: int) -> BoundaryDistribution:

@@ -473,6 +473,24 @@ def test_non_finite_evaluation_point_is_a_usage_error(u_file, argv):
     assert lines == [f"usage error: argument --at: expected finite 're,im', got '{argv[1]}'"]
 
 
+# Every float flag refuses nan and +-inf in argparse, in one line that names it.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize("head, option, value", [
+    (["norm", "--in", None], "--sp", "{}"),
+    (["project", "--in", None], "--boundary-index", "{}"),
+    (["gen", "--family", "--N", "8"], "--gamma", "{}"),
+    (["growth", "--N", "64"], "--gamma", "{}"),
+    (["growth", "--gamma", "2", "--N", "64"], "--radii", "{},0.5"),
+    (["growth", "--gamma", "2", "--N", "64"], "--radii", "0.25,{}"),
+], ids=["norm-sp", "project-boundary-index", "gen-gamma", "growth-gamma", "radii-first", "radii-last"])
+def test_non_finite_float_flags_are_usage_errors(u_file, head, option, value, text):
+    argv = [u_file if part is None else part for part in head] + [option, value.format(text)]
+    code, out, lines, caught = _run_quietly(argv)
+    assert (code, out, caught) == (1, "", [])
+    assert lines == [f"usage error: argument {option}: expected a finite number, got '{text}'"]
+
+
 # The values of an 8-term series at |zeta| ~ 1e300, at |1/zeta| ~ 1e300 and at
 # |zeta| ~ 1e100 leave the float range (a curve of moderate size can do the
 # same with larger coefficients); on the large ellipse the Cauchy quadrature

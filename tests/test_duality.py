@@ -2,7 +2,13 @@
 
 import hashlib
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -677,3 +683,111 @@ def test_duality_suite_peak_memory_at_a_small_size():
     finally:
         tracemalloc.stop()
     assert peak < 1.95e6
+
+
+# ---------------------------------------------------------------- split draws
+# A block of at least two brute-force probe rows of at least
+# duality._DRAW_SPLIT_NORMALS normals each is drawn on spectral's pool.  Every
+# row has its own generator and slice, so its bits are the serial ones.
+
+def _drawn_rows(monkeypatch, cpus, rows, n):
+    """(results, probe block, whether the pool was asked for) of one _bruteforce_rows call."""
+    rng = np.random.default_rng(n + rows)
+    b = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    seeds = [int(seed) for seed in rng.integers(2 ** 32, size=rows)]
+    seen, asked = [], []
+    require_finite, split_pool = duality._require_finite, spectral._split_pool
+    monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
+    monkeypatch.setattr(duality, "_require_finite", lambda values, what: (
+        seen.append(values.copy()), require_finite(values, what)))
+    monkeypatch.setattr(spectral, "_split_pool", lambda count: (asked.append(count), split_pool(count))[1])
+    best = duality._bruteforce_rows(b, np.abs(b), 1, n, duality._SUITE_ITERATIONS, seeds,
+                                    duality._maximizer_weights(1, n))
+    (probes,) = seen
+    for row, seed in zip(probes, seeds):  # the draws against fresh generators
+        draws = np.random.default_rng(seed).standard_normal((duality._SUITE_ITERATIONS, 2, n))
+        assert np.array_equal(row[1:].real, draws[:, 0]) and np.array_equal(row[1:].imag, draws[:, 1])
+    return best, probes, bool(asked)
+
+
+@pytest.mark.parametrize("n", [255, 256, 1024, 4096])
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+def test_split_probe_draws_are_the_serial_draws_bit_for_bit(monkeypatch, rows, n):
+    split_best, split_probes, split = _drawn_rows(monkeypatch, 4, rows, n)
+    serial_best, serial_probes, serial = _drawn_rows(monkeypatch, 1, rows, n)
+    assert split == (rows >= 2 and duality._SUITE_ITERATIONS * 2 * n >= duality._DRAW_SPLIT_NORMALS)
+    assert not serial
+    assert np.array_equal(split_probes.view(np.int64), serial_probes.view(np.int64))
+    assert [value.hex() for value in split_best] == [value.hex() for value in serial_best]
+
+
+def test_a_split_suite_report_is_the_serial_report(monkeypatch):
+    # N = 1024 and 7 trials are one block of 7 rows of 2^14 normals
+    monkeypatch.setattr(spectral, "_cpus", lambda: 4)
+    split = _suite_bytes(0, 1024, 7, 9)
+    monkeypatch.setattr(spectral, "_cpus", lambda: 1)
+    assert split == _suite_bytes(0, 1024, 7, 9)
+
+
+def test_a_small_suite_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(spectral, "_cpus", lambda: 4)
+    monkeypatch.setattr(spectral, "_pool", None)
+    threads = threading.active_count()
+    verify_duality_isomorphism(0, 100, 32, 7)
+    assert spectral._pool is None and threading.active_count() == threads
+
+
+def test_the_cli_suite_at_n_32_imports_no_thread_pool():
+    code = ("import contextlib, io, sys, threading, diskdual.cli\n"
+            "imported = 'concurrent.futures' in sys.modules\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = diskdual.cli.run(['verify', '--suite', 'duality', '--N', '32', '--seed', '7'])\n"
+            "print(code, imported, 'concurrent.futures' in sys.modules, threading.active_count())")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "0 False False 1\n"), proc.stderr
+
+
+def _send_suite(conn):
+    conn.send(_suite_bytes(0, 1024, 4, 5))
+    conn.close()
+
+
+def test_a_forked_child_draws_on_a_fresh_pool(monkeypatch):
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+    monkeypatch.setattr(spectral, "_pool", None)
+    expected = _suite_bytes(0, 1024, 4, 5)
+    assert spectral._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_suite, args=(send,))
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        pytest.fail("the forked child hung on the inherited pool")
+    assert child.exitcode == 0 and receive.recv() == expected
+
+
+# The suite's trial loop calls array methods, not numpy's module-level
+# wrappers, which cost a Python call each for the same reduction.
+_WRAPPERS = ("all", "any", "sum", "max", "min", "argmax", "cumprod", "append", "full")
+
+
+@pytest.mark.parametrize("s", [-2, 6])
+def test_the_suite_calls_no_numpy_dispatch_wrapper(monkeypatch, s):
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__", "").startswith("diskdual"):
+                calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in _WRAPPERS:
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    for n, trials in ((32, 16), (256, 8), (1024, 4)):
+        verify_duality_isomorphism(s, trials, n, 3)
+    assert calls == []

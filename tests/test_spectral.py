@@ -532,12 +532,13 @@ def test_weighted_squares_evaluate_rows_and_levels_independently():
 
 @pytest.mark.parametrize("rows", [(), (3,)])
 def test_weighted_squares_at_index_zero_between_other_indices(rows):
-    # index 0 skips the weights; every index equals its own single-index call,
-    # also after the caller overwrites the buffer it was handed
+    # index 0 skips the weights, and as the last index also the copy; every
+    # index equals its own single-index call, also after the caller
+    # overwrites the buffer it was handed
     rng = np.random.default_rng(13)
     mags = np.abs(rng.standard_normal(rows + (33,))) * 10.0 ** rng.integers(-3, 4, rows + (33,))
     n = np.arange(-16, 17, dtype=float)
-    levels = (0.0, 1.5, 0.0, -2.0)
+    levels = (0.0, 1.5, 0.0, -2.0, 0.0)
     for t, (terms, exponents) in zip(levels, spectral._weighted_squares(mags, -16, levels)):
         alone, alone_exponents = next(spectral._weighted_squares(mags, -16, (t,)))
         assert terms.tobytes() == alone.tobytes() and np.array_equal(exponents, alone_exponents)
