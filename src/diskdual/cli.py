@@ -73,6 +73,16 @@ def finite_float(text: str) -> float:
     return value
 
 
+def quadrature_size(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 16 or value % 2:
+        raise argparse.ArgumentTypeError(f"expected an even integer >= 16, got {text!r}")
+    return value
+
+
 def _parse_radii(text: str) -> list[float]:
     return [finite_float(p) for p in text.split(",")]
 
@@ -191,14 +201,14 @@ def build_parser() -> _Parser:
     pair.add_argument("--u", required=True)
     pair.add_argument("--v", required=True)
     pair.add_argument("--curve", default=None, help="cross-check on a curve, e.g. ellipse:1.5,0.7")
-    pair.add_argument("--M", dest="m", type=int, default=256)
+    pair.add_argument("--M", dest="m", type=quadrature_size, default=256)
     pair.set_defaults(handler=_cmd_pair)
 
     cauchy = sub.add_parser("cauchy", help="Cauchy transform at a point off the circle")
     cauchy.add_argument("--in", dest="infile", required=True)
     cauchy.add_argument("--at", type=_parse_complex, required=True, help="evaluation point re,im")
     cauchy.add_argument("--curve", default=None)
-    cauchy.add_argument("--M", dest="m", type=int, default=256)
+    cauchy.add_argument("--M", dest="m", type=quadrature_size, default=256)
     cauchy.set_defaults(handler=_cmd_cauchy)
 
     project = sub.add_parser("project", help="Hardy split and jump residual")

@@ -233,13 +233,17 @@ def contour_integral(values, curve: CurveDescriptor, grid: QuadratureGrid) -> co
     ``values`` are g at the grid's curve points; the complex line element
     zeta'(theta) d theta is supplied by the curve.
     """
-    vals = np.asarray(values, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _trapezoid(np.asarray(values, dtype=complex), curve, grid)
+
+
+def _trapezoid(vals: np.ndarray, curve: CurveDescriptor, grid: QuadratureGrid) -> complex:
+    """contour_integral of a complex array, under the caller's np.errstate ignoring over and invalid."""
     if vals.shape != (grid.m,):
         raise ValueError(f"expected {grid.m} node values, got shape {vals.shape}")
     if not np.isfinite(vals).all():
         raise InvalidDataError("contour integrand contains non-finite node values")
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = complex(grid.weight * (vals * _node_geometry(curve, grid)[1]).sum())
+    total = complex(grid.weight * (vals * _node_geometry(curve, grid)[1]).sum())
     if not cmath.isfinite(total):
         raise InvalidDataError("contour integral exceeds the float range")
     return total
@@ -263,8 +267,8 @@ def cauchy_integral_quadrature(
         )
     vals = np.asarray(values, dtype=complex)
     zeta = _node_geometry(curve, grid)[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by contour_integral
-        return contour_integral(vals / (zeta - z), curve, grid) / (2j * np.pi)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _trapezoid
+        return _trapezoid(vals / (zeta - z), curve, grid) / (2j * np.pi)
 
 
 def pairing_quadrature(
@@ -273,14 +277,14 @@ def pairing_quadrature(
     """(1/(2 pi i)) contour integral of u v dzeta from node values of u and v."""
     u_vals = np.asarray(u_values, dtype=complex)
     v_vals = np.asarray(v_values, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by contour_integral
-        return contour_integral(u_vals * v_vals, curve, grid) / (2j * np.pi)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _trapezoid
+        return _trapezoid(u_vals * v_vals, curve, grid) / (2j * np.pi)
 
 
 def interior_node_values(u: InteriorFunction, curve: CurveDescriptor, grid: QuadratureGrid):
     """Values of the polynomial extension of u at the curve's grid points."""
     zeta = _node_geometry(curve, grid)[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused by contour_integral
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused by _trapezoid
         return np.polynomial.polynomial.polyval(zeta, u.coeffs)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidDataError, TruncationError
 from .hardy import InteriorFunction, evaluate_interior
-from .spectral import _scaled, _weighted_squares
+from .spectral import _level_sums, _scaled, _weighted_squares
 
 __all__ = [
     "GrowthFamilySpec",
@@ -181,8 +181,8 @@ def estimate_min_sobolev(u: InteriorFunction, s_grid) -> ScaleEstimate:
         raise InvalidDataError(f"coefficient magnitudes up to {top:.3g} overflow when "
                                f"squared; scale placement needs |a_n| <= {_SQUARE_MAX:.3g}")
     # each norm equals sobolev_norm(trace_interior(u), s - 0.5) bit for bit
-    curve = tuple((s, _scaled(math.sqrt(terms.sum()), int(exponent) // 2))
-                  for s, (terms, exponent) in zip(grid, _weighted_squares(mags, 0, [k - 0.5 for k in grid])))
+    curve = tuple((s, _scaled(math.sqrt(total), int(exponent) // 2))
+                  for s, (total, exponent) in zip(grid, _level_sums(mags, 0, [k - 0.5 for k in grid])))
     p, bar = _tail_exponent(mags)
     if p is None:
         return ScaleEstimate(None, "inconclusive", curve)

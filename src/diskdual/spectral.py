@@ -15,7 +15,11 @@ n = n_min .. n_max.  Conventions used by the whole package:
 The circle is positively (counterclockwise) oriented and i = +sqrt(-1).
 All containers are immutable after construction and every function here is
 pure (the one shared state is a thread pool, started on the first large
-weight pass or probe draw), so concurrent use needs no locking.
+weight pass or probe draw), so concurrent use needs no locking.  The pool
+takes whole levels of a multi-level sum over a mid-sized row
+(:func:`_level_sums`) or chunks of one level's elementwise passes over a
+large row (:func:`_power_times`); every sum stays serial, so the bits are
+the serial ones.
 """
 
 from __future__ import annotations
@@ -231,6 +235,15 @@ _DIRECT_LOG2, _MANTISSA_POW, _INDEX_MAX = 1000.0, 1000.0, 2.0 ** 53
 # serial one.  Sums over the terms stay serial: their pairwise order depends
 # on blocking.
 _CHUNK, _ALIGN = 2 ** 16, 64
+# A caller that sums several direct levels of one row of _LEVEL_MIN <= size <
+# _LEVEL_MAX weights gives each thread whole levels instead (_level_sums):
+# one handoff per call, not one per level.  On a 2-CPU Xeon the growth
+# report's eight-level curve took, level split over the per-level path
+# (medians of 60 interleaved calls, range of three sweeps), at 2^14 + 1
+# weights 1.06-1.07 of the time, 2^15 + 1 0.71-0.88, 2^16 + 1 0.71-0.80,
+# 2^17 + 1 0.93-0.98, 2^18 + 1 0.90-0.93, 2^19 + 1 1.10-1.13 and 2^20 + 1
+# 1.26-1.28: past 2^19 the second row buffer costs more than the split saves.
+_LEVEL_MIN, _LEVEL_MAX = 2 ** 15, 2 ** 19
 _pool, _pool_lock = None, threading.Lock()
 
 
@@ -293,6 +306,31 @@ def _power_times(base: np.ndarray, t: float, scaled: np.ndarray, weights: np.nda
     return terms
 
 
+def _reach(n_min: int, size: int) -> tuple[float, float]:
+    """(reach, count) = (log2 max(1 + n^2), log2 size): t is direct while |t| reach + count < 1000."""
+    return math.log2(1 + max(n_min * n_min, (n_min + size - 1) ** 2)), math.log2(size or 1)
+
+
+def _scaled_squares(mags: np.ndarray):
+    """(mags^2 / 4^shift, shift), with shift the exponent of each row's largest magnitude."""
+    if mags.ndim == 1:  # scalar shift: a third of the cost on short rows
+        shift = math.frexp(mags.max(initial=0.0))[1]
+        scaled = np.ldexp(mags, -shift)
+    else:
+        shift = np.frexp(mags.max(axis=-1, initial=0.0))[1]
+        scaled = np.ldexp(mags, -shift[..., None])
+    scaled *= scaled
+    return scaled, shift
+
+
+def _weight_base(n_min: int, size: int) -> np.ndarray:
+    """1 + n^2 for n = n_min .. n_min + size - 1."""
+    base = np.arange(n_min, n_min + size, dtype=float)
+    base *= base
+    base += 1.0
+    return base
+
+
 def _weighted_squares(mags: np.ndarray, n_min: int, indices):
     """Yield (terms, exponent) per index t with terms * 2**exponent = (1 + n^2)^t mags^2.
 
@@ -313,14 +351,8 @@ def _weighted_squares(mags: np.ndarray, n_min: int, indices):
     """
     size = mags.shape[-1]
     base = None
-    reach, count = math.log2(1 + max(n_min * n_min, (n_min + size - 1) ** 2)), math.log2(size or 1)
-    if mags.ndim == 1:  # scalar shift: a third of the cost on short rows
-        shift = math.frexp(mags.max(initial=0.0))[1]
-        scaled = np.ldexp(mags, -shift)
-    else:
-        shift = np.frexp(mags.max(axis=-1, initial=0.0))[1]
-        scaled = np.ldexp(mags, -shift[..., None])
-    scaled *= scaled
+    reach, count = _reach(n_min, size)
+    scaled, shift = _scaled_squares(mags)
     weights = np.empty(size)
     terms, split = weights if mags.ndim == 1 else np.empty(mags.shape), None
     last = len(indices) - 1
@@ -335,9 +367,7 @@ def _weighted_squares(mags: np.ndarray, n_min: int, indices):
             yield terms, 2 * shift
             continue
         if base is None:
-            base = np.arange(n_min, n_min + size, dtype=float)
-            base *= base
-            base += 1.0
+            base = _weight_base(n_min, size)
         if abs(t) * reach + count < _DIRECT_LOG2:
             yield _power_times(base, t, scaled, weights, terms), 2 * shift
             continue
@@ -359,6 +389,48 @@ def _weighted_squares(mags: np.ndarray, n_min: int, indices):
         top += top % 2
         np.ldexp(mant, np.clip(expo - top, -1100, 0).astype(np.intc), out=terms)
         yield terms, top[..., 0]
+
+
+def _level_sums(mags: np.ndarray, n_min: int, indices) -> list:
+    """[(terms.sum(), exponent)] per index of :func:`_weighted_squares`, bit for bit.
+
+    Two or more indices, all on the direct branch, over a 1-D row of
+    _LEVEL_MIN <= size < _LEVEL_MAX entries are dealt round-robin to
+    min(CPUs, levels) threads, the caller and :func:`_split_pool`'s workers:
+    one handoff per call.  Each thread forms the power, the product and the
+    whole-row sum of its levels in a buffer of its own, allocated here on the
+    calling thread.  Any other call takes the generator, and so does a caller
+    whose np.errstate does not ignore underflow: as in :func:`_power_times`,
+    worker threads do not see it.
+    """
+    size = mags.shape[-1]
+    reach, count = _reach(n_min, size)
+    cpus = _cpus() if mags.ndim == 1 and _LEVEL_MIN <= size < _LEVEL_MAX and len(indices) > 1 else 1
+    # |t| reach < 1000 also keeps t finite and within 2^53, as reach >= 29 here
+    if cpus < 2 or np.geterr()["under"] != "ignore" or not all(
+            abs(t) * reach + count < _DIRECT_LOG2 for t in indices):
+        return [(terms.sum(), exponent) for terms, exponent in _weighted_squares(mags, n_min, indices)]
+    scaled, shift = _scaled_squares(mags)
+    base = _weight_base(n_min, size)
+    threads = min(cpus, len(indices))
+    buffers = [np.empty(size) for _ in range(threads)]
+    sums = [None] * len(indices)
+
+    def run(thread):
+        weights = buffers[thread]
+        for position in range(thread, len(indices), threads):
+            t = indices[position]
+            terms = scaled if t == 0 else np.multiply(np.power(base, t, out=weights), scaled, out=weights)
+            sums[position] = terms.sum()
+
+    pool = _split_pool(cpus)
+    pending = [pool.submit(run, thread) for thread in range(1, threads)]
+    try:
+        run(0)
+    finally:  # no level may still write once the caller has its buffers back
+        for job in pending:
+            job.result()
+    return [(total, 2 * shift) for total in sums]
 
 
 def _scaled(value: float, exponent, what: str | None = None) -> float:

@@ -579,3 +579,26 @@ def test_negative_values_read_as_with_an_equals_sign(u_file, verb, option, space
     spaced_run = _run_quietly(head + [option, spaced])
     assert spaced_run[0] == 0 and spaced_run[2:] == ([], [])
     assert spaced_run[:2] == _run_quietly(head + [f"{option}={joined}"])[:2]
+
+
+# The quadrature grid needs an even M >= 16; argparse refuses any other M,
+# with or without a curve to cross-check on.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m", ["1", "3", "15", "17", "0", "-2", "2.5e1", "abc"])
+@pytest.mark.parametrize("curve", [None, "ellipse:1.5,0.7"], ids=["no-curve", "curve"])
+@pytest.mark.parametrize("verb", ["pair", "cauchy"])
+def test_an_odd_or_small_quadrature_size_is_a_usage_error(u_file, v_file, verb, curve, m):
+    argv = (["pair", "--u", u_file, "--v", v_file] if verb == "pair"
+            else ["cauchy", "--in", u_file, "--at", "0.1,0"])
+    code, out, lines, caught = _run_quietly(argv + ["--curve", curve] * (curve is not None) + ["--M", m])
+    assert (code, out, caught) == (1, "", [])
+    assert lines == [f"usage error: argument --M: expected an even integer >= 16, got '{m}'"]
+
+
+@pytest.mark.parametrize("verb", ["pair", "cauchy"])
+def test_the_smallest_quadrature_size_is_accepted(u_file, v_file, verb):
+    # at M = 16 the Cauchy quadrature needs a point more than 10 pi / 8 from the circle
+    argv = (["pair", "--u", u_file, "--v", v_file] if verb == "pair"
+            else ["cauchy", "--in", u_file, "--at", "5,0"])
+    code, out = _run(argv + ["--curve", "circle:1.0", "--M", "16"])
+    assert code == 0 and json.loads(out)["M"] == 16

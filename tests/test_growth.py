@@ -3,7 +3,11 @@
 import cmath
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from diskdual import (
     sobolev_norm,
     trace_interior,
 )
-from diskdual import formats, growth
+from diskdual import formats, growth, spectral
 from diskdual.growth import build_growth_report
 
 
@@ -155,6 +159,28 @@ def test_weighted_levels_equal_the_per_level_formula():
         u = _family(gamma, z0=np.exp(0.2j), degree=4096)
         curve = estimate_min_sobolev(u, grid).norm_curve
         assert curve == tuple((s, sobolev_norm(trace_interior(u), s - 0.5)) for s in grid)
+
+
+@pytest.mark.parametrize("degree", [2 ** 15 - 2, 2 ** 15, 2 ** 16])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_levels_split_across_cpus_equal_the_per_level_formula(monkeypatch, cpus, degree):
+    # from 2^15 weights the levels are summed on several threads, bit for bit
+    u = _family(1.25, z0=np.exp(0.9j), degree=degree)
+    expected = tuple((s, sobolev_norm(trace_interior(u), s - 0.5)) for s in range(-4, 4))
+    monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
+    curve = estimate_min_sobolev(u, range(-4, 4)).norm_curve
+    assert np.array(curve).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+
+
+def test_the_cli_growth_report_at_n_4096_imports_no_thread_pool():
+    code = ("import contextlib, io, sys, threading, diskdual.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = diskdual.cli.run(['growth', '--gamma', '2', '--N', '4096'])\n"
+            "print(code, 'concurrent.futures' in sys.modules, threading.active_count())")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "0 False 1\n"), proc.stderr
 
 
 def test_underflowing_weights_do_not_decide_the_scale():

@@ -707,6 +707,143 @@ def test_a_forked_child_splits_on_a_fresh_pool(monkeypatch):
     assert child.exitcode == 0 and receive.recv() == expected
 
 
+# ---------------------------------------------------------------- level sums
+# Several direct levels of one row of 2^15 <= size < 2^19 weights are summed
+# on several threads, whole levels each.  Every sum must be the generator's.
+
+_LEVEL_SIZES = [2 ** 15 - 1, 2 ** 15, 2 ** 16 + 1, 2 ** 18 + 1, 2 ** 19 - 1, 2 ** 19]
+_LEVEL_GRIDS = {
+    "default": tuple(s - 0.5 for s in range(-4, 4)),
+    "three": (-2.5, 0.5, 1.5),
+    "with-zero": (-1.5, 0.0, 2.5, -0.5),
+    "one-log-domain": (-4.5, 39.5, 2.5),  # 39.5 leaves the direct branch from 2^14 weights on
+}
+
+
+def _level_row(size):
+    rng = np.random.default_rng(size)
+    mags = rng.random(size) * 0.5
+    mags[::3] *= 1e-160  # squares and terms in the subnormal range
+    mags[7] = 3.0
+    return mags
+
+
+def _level_split_runs(size, grid):
+    return (2 ** 15 <= size < 2 ** 19 and all(
+        abs(t) * math.log2(1 + (size - 1) ** 2) + math.log2(size) < spectral._DIRECT_LOG2 for t in grid))
+
+
+def _as_bits(sums):
+    return np.array([total for total, _ in sums]).view(np.int64), [int(e) for _, e in sums]
+
+
+@pytest.fixture(scope="module")
+def serial_level_sums():
+    cache = {}
+
+    def get(size, grid):
+        if (size, grid) not in cache:
+            cpus = spectral._cpus
+            try:
+                spectral._cpus = lambda: 1
+                cache[size, grid] = _as_bits([(terms.sum(), e) for terms, e in
+                                              spectral._weighted_squares(_level_row(size), 0, grid)])
+            finally:
+                spectral._cpus = cpus
+        return cache[size, grid]
+
+    return get
+
+
+@pytest.mark.parametrize("grid", _LEVEL_GRIDS, ids=list(_LEVEL_GRIDS))
+@pytest.mark.parametrize("size", _LEVEL_SIZES)
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_level_sums_are_the_generators_bit_for_bit(monkeypatch, serial_level_sums, cpus, size, grid):
+    generator, calls = spectral._weighted_squares, []
+
+    def counted(*args):
+        calls.append(args)
+        return generator(*args)
+
+    monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
+    monkeypatch.setattr(spectral, "_weighted_squares", counted)
+    bits, exponents = _as_bits(spectral._level_sums(_level_row(size), 0, _LEVEL_GRIDS[grid]))
+    expected_bits, expected_exponents = serial_level_sums(size, _LEVEL_GRIDS[grid])
+    assert np.array_equal(bits, expected_bits) and exponents == expected_exponents
+    assert bool(calls) == (cpus == 1 or not _level_split_runs(size, _LEVEL_GRIDS[grid]))
+
+
+def test_one_level_takes_the_generator(monkeypatch):
+    monkeypatch.setattr(spectral, "_cpus", lambda: 4)
+    monkeypatch.setattr(spectral, "_pool", None)
+    mags = _level_row(2 ** 16 + 1)
+    (total, exponent), = spectral._level_sums(mags, 0, (-0.5,))
+    terms, expected_exponent = next(spectral._weighted_squares(mags, 0, (-0.5,)))
+    assert total.tobytes() == terms.sum().tobytes() and exponent == expected_exponent
+    assert spectral._pool is None
+
+
+def test_a_caller_that_traps_underflow_sums_levels_serially(monkeypatch):
+    # the products underflow; the caller gets the generator's error and no pool starts
+    monkeypatch.setattr(spectral, "_cpus", lambda: 4)
+    monkeypatch.setattr(spectral, "_pool", None)
+    mags = np.full(2 ** 16, 0.5)
+    mags[1::2] = 1e-150
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+        spectral._level_sums(mags, 0, _LEVEL_GRIDS["default"])
+    assert spectral._pool is None
+
+
+def test_concurrent_callers_sum_levels_on_one_pool_with_the_serial_bits(monkeypatch, serial_level_sums):
+    # more callers than CPUs, switching threads as often as the interpreter allows
+    monkeypatch.setattr(spectral, "_cpus", lambda: 3)
+    monkeypatch.setattr(spectral, "_pool", None)
+    grid, mags = _LEVEL_GRIDS["default"], _level_row(2 ** 16 + 1)
+    expected = serial_level_sums(2 ** 16 + 1, grid)
+    results, start = [], threading.Barrier(6)
+
+    def call():
+        start.wait(60)
+        for _ in range(5):
+            results.append(_as_bits(spectral._level_sums(mags, 0, grid)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call) for _ in range(6)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers) and len(results) == 30
+    assert all(np.array_equal(bits, expected[0]) and exponents == expected[1] for bits, exponents in results)
+
+
+def _send_level_sums(conn, mags):
+    conn.send(spectral._level_sums(mags, 0, _LEVEL_GRIDS["default"]))
+    conn.close()
+
+
+def test_a_forked_child_sums_levels_on_a_fresh_pool(monkeypatch):
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+    monkeypatch.setattr(spectral, "_pool", None)
+    mags = _level_row(2 ** 16)
+    expected = spectral._level_sums(mags, 0, _LEVEL_GRIDS["default"])
+    assert spectral._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_level_sums, args=(send, mags))
+    child.start()
+    child.join(60)
+    if child.is_alive():
+        child.kill()
+        pytest.fail("the forked child hung on the inherited pool")
+    (child_bits, child_exponents), (bits, exponents) = _as_bits(receive.recv()), _as_bits(expected)
+    assert child.exitcode == 0 and np.array_equal(child_bits, bits) and child_exponents == exponents
+
+
 # ---------------------------------------------------------------- the whole scale
 # Properties over indices in [-400, 400], where norms leave the float range in
 # both directions; they are compared as log2 of spectral._norm_parts, and
