@@ -60,14 +60,20 @@ def _parse_int_grid(text: str) -> list[int]:
 
 
 def non_negative_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # argparse would name the function, not the rule
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
     return value
 
 
 def finite_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value

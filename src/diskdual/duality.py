@@ -21,11 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import spectral
 from .errors import DegenerateInputError, InvalidDataError, InvalidFamilyError, TruncationError
 from .growth import classify_decay
 from .hardy import ExteriorFunction, InteriorFunction, hardy_projections, trace_interior
-from .spectral import (BoundaryDistribution, _norm_parts, _require_finite, _scaled, _weighted_squares,
+from .spectral import (BoundaryDistribution, _norm_parts, _require_finite, _scaled, _split, _weighted_squares,
                        koethe_pairing)
 
 __all__ = [
@@ -78,7 +77,7 @@ _SUITE_ITERATIONS = 8
 _BLOCK_BYTES = 1 << 20
 # A block of at least two brute-force probe rows of at least this many
 # normals each is drawn on up to one thread per CPU the process may run on
-# (spectral's pool), one contiguous range of rows each.  Each row has its own
+# (spectral._split), one contiguous range of rows each.  Each row has its own
 # generator and its own slice, and numpy fills it with the GIL released, so
 # every bit is the serial one.  On a 2-CPU Xeon, rows of 8 * 2 * N normals
 # drawn serially, then on two threads, took (medians of 200) 355 -> 767 us
@@ -240,15 +239,7 @@ def _bruteforce_rows(b: np.ndarray, mags: np.ndarray, s: int, degree_cap: int, i
         for index in range(lo, hi):
             np.random.default_rng(seeds[index]).standard_normal(out=draws[index])
 
-    cpus = spectral._cpus() if count >= 2 and draws[0].size >= _DRAW_SPLIT_NORMALS else 1
-    parts = min(count, cpus)
-    bounds = [count * k // parts for k in range(parts + 1)]
-    pending = [spectral._split_pool(cpus).submit(draw, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        draw(bounds[0], bounds[1])
-    finally:  # no thread may still write once the draws are read
-        for job in pending:
-            job.result()
+    _split(draw, count, count if draws[0].size >= _DRAW_SPLIT_NORMALS else 1)
     probes[:, 1:].real = draws[:, :, 0]
     probes[:, 1:].imag = draws[:, :, 1]
     del draws  # freed before the probes are normed, where the peak lies

@@ -15,11 +15,11 @@ n = n_min .. n_max.  Conventions used by the whole package:
 The circle is positively (counterclockwise) oriented and i = +sqrt(-1).
 All containers are immutable after construction and every function here is
 pure (the one shared state is a thread pool, started on the first large
-weight pass or probe draw), so concurrent use needs no locking.  The pool
-takes whole levels of a multi-level sum over a mid-sized row
-(:func:`_level_sums`) or chunks of one level's elementwise passes over a
-large row (:func:`_power_times`); every sum stays serial, so the bits are
-the serial ones.
+weight pass or probe draw), so concurrent use needs no locking.  One helper,
+:func:`_split`, hands work to the pool: chunks of one level's elementwise
+passes over a large row, contiguous ranges of levels of a multi-level sum
+over a mid-sized row (:func:`_level_sums`) and ranges of the duality suite's
+probe draws.  Every sum stays serial, so the bits are the serial ones.
 """
 
 from __future__ import annotations
@@ -274,36 +274,29 @@ def _split_pool(cpus: int):
         return _pool
 
 
-def _power_times(base: np.ndarray, t: float, scaled: np.ndarray, weights: np.ndarray, terms: np.ndarray):
-    """np.power(base, t, out=weights) then np.multiply(weights, scaled, out=terms), bit for bit.
+def _split(run, size: int, most: int, align: int = 1) -> None:
+    """run(lo, hi) over up to min(most, CPUs) contiguous ranges of 0 .. size, the first on the caller.
 
-    Worker threads do not see the caller's np.errstate, so only passes that
-    raise no floating-point flag may come here: base >= 1 with finite
-    weights, and scaled <= 1.  Underflow in the product is the one flag left,
-    so a caller that does not ignore it gets the serial pass.  The chunks
-    are plain numpy calls and never submit work, so concurrent callers
-    cannot deadlock on the pool.
+    Range bounds are multiples of ``align``, and the call returns only once
+    every range is done, also when the caller's own range raises.  One part,
+    one CPU or a caller whose np.errstate does not ignore underflow runs
+    run(0, size) inline and starts no pool.  Worker threads do not see the
+    caller's np.errstate, so ``run`` may raise no floating-point flag but
+    underflow.  ``run`` must not submit to the pool itself, so concurrent
+    callers cannot deadlock on it.
     """
-    size = base.size
-    cpus = _cpus() if size >= 2 * _CHUNK else 1
-    parts = min(size // _CHUNK, cpus)
+    cpus = _cpus() if most > 1 else 1
+    parts = min(most, cpus)
     if parts < 2 or np.geterr()["under"] != "ignore":
-        np.power(base, t, out=weights)
-        return np.multiply(weights, scaled, out=terms)
-
-    def run(lo, hi):
-        np.power(base[lo:hi], t, out=weights[lo:hi])
-        np.multiply(weights[lo:hi], scaled[..., lo:hi], out=terms[..., lo:hi])
-
-    pool = _split_pool(cpus)
-    bounds = [size * k // parts // _ALIGN * _ALIGN for k in range(parts)] + [size]
-    pending = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        run(0, size)
+        return
+    bounds = [size * k // parts // align * align for k in range(parts)] + [size]
+    pending = [_split_pool(cpus).submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
         run(bounds[0], bounds[1])
-    finally:  # no chunk may still write once the caller has its buffers back
+    finally:  # no range may still write once the caller has its buffers back
         for job in pending:
             job.result()
-    return terms
 
 
 def _reach(n_min: int, size: int) -> tuple[float, float]:
@@ -369,7 +362,12 @@ def _weighted_squares(mags: np.ndarray, n_min: int, indices):
         if base is None:
             base = _weight_base(n_min, size)
         if abs(t) * reach + count < _DIRECT_LOG2:
-            yield _power_times(base, t, scaled, weights, terms), 2 * shift
+            def run(lo, hi):  # base >= 1, finite weights, scaled <= 1: the product may only underflow
+                powers = np.power(base[lo:hi], t, out=weights[lo:hi])
+                np.multiply(powers, scaled[..., lo:hi], out=terms[..., lo:hi])
+
+            _split(run, size, size // _CHUNK, _ALIGN)
+            yield terms, 2 * shift
             continue
         if split is None:
             split = (mb, eb), (squares, ec) = np.frexp(base), np.frexp(mags)
@@ -395,20 +393,18 @@ def _level_sums(mags: np.ndarray, n_min: int, indices) -> list:
     """[(terms.sum(), exponent)] per index of :func:`_weighted_squares`, bit for bit.
 
     Two or more indices, all on the direct branch, over a 1-D row of
-    _LEVEL_MIN <= size < _LEVEL_MAX entries are dealt round-robin to
-    min(CPUs, levels) threads, the caller and :func:`_split_pool`'s workers:
-    one handoff per call.  Each thread forms the power, the product and the
+    _LEVEL_MIN <= size < _LEVEL_MAX entries go to :func:`_split` as one
+    contiguous range of levels per thread, min(CPUs, levels) threads: one
+    handoff per call.  Each thread forms the power, the product and the
     whole-row sum of its levels in a buffer of its own, allocated here on the
-    calling thread.  Any other call takes the generator, and so does a caller
-    whose np.errstate does not ignore underflow: as in :func:`_power_times`,
-    worker threads do not see it.
+    calling thread.  Any other call, or one CPU, takes the generator; a
+    caller that traps underflow gets the levels on its own thread.
     """
     size = mags.shape[-1]
     reach, count = _reach(n_min, size)
     cpus = _cpus() if mags.ndim == 1 and _LEVEL_MIN <= size < _LEVEL_MAX and len(indices) > 1 else 1
     # |t| reach < 1000 also keeps t finite and within 2^53, as reach >= 29 here
-    if cpus < 2 or np.geterr()["under"] != "ignore" or not all(
-            abs(t) * reach + count < _DIRECT_LOG2 for t in indices):
+    if cpus < 2 or not all(abs(t) * reach + count < _DIRECT_LOG2 for t in indices):
         return [(terms.sum(), exponent) for terms, exponent in _weighted_squares(mags, n_min, indices)]
     scaled, shift = _scaled_squares(mags)
     base = _weight_base(n_min, size)
@@ -416,20 +412,14 @@ def _level_sums(mags: np.ndarray, n_min: int, indices) -> list:
     buffers = [np.empty(size) for _ in range(threads)]
     sums = [None] * len(indices)
 
-    def run(thread):
-        weights = buffers[thread]
-        for position in range(thread, len(indices), threads):
+    def run(lo, hi):
+        weights = buffers.pop()  # list.pop is atomic, and _split runs at most `threads` ranges
+        for position in range(lo, hi):
             t = indices[position]
             terms = scaled if t == 0 else np.multiply(np.power(base, t, out=weights), scaled, out=weights)
             sums[position] = terms.sum()
 
-    pool = _split_pool(cpus)
-    pending = [pool.submit(run, thread) for thread in range(1, threads)]
-    try:
-        run(0)
-    finally:  # no level may still write once the caller has its buffers back
-        for job in pending:
-            job.result()
+    _split(run, len(indices), threads)
     return [(total, 2 * shift) for total in sums]
 
 

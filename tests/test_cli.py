@@ -353,6 +353,8 @@ def test_index_beyond_the_float_range_is_refused(tmp_path, spelling):
     ("verify --suite duality --N -5 --seed 1", "--N", -5),
     ("verify --suite duality --seed -1", "--seed", -1),
     ("verify --suite scale --N 64 --seed -1", "--seed", -1),
+    ("verify --suite duality --seed 1 --N x", "--N", "'x'"),
+    ("gen --random interior --N 4 --seed 1.5", "--seed", "'1.5'"),
 ])
 def test_negative_size_or_seed_is_one_line_naming_the_flag(argv, flag, value):
     code, out, lines, caught = _run_quietly(argv.split())
@@ -475,7 +477,7 @@ def test_non_finite_evaluation_point_is_a_usage_error(u_file, argv):
 
 # Every float flag refuses nan and +-inf in argparse, in one line that names it.
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "abc"])
 @pytest.mark.parametrize("head, option, value", [
     (["norm", "--in", None], "--sp", "{}"),
     (["project", "--in", None], "--boundary-index", "{}"),

@@ -844,6 +844,39 @@ def test_a_forked_child_sums_levels_on_a_fresh_pool(monkeypatch):
     assert child.exitcode == 0 and np.array_equal(child_bits, bits) and child_exponents == exponents
 
 
+# ---------------------------------------------------------------- one handoff
+# Chunks, levels and probe draws reach the pool through spectral._split alone.
+
+def test_every_pool_job_is_submitted_by_the_one_helper(monkeypatch):
+    from diskdual import duality, growth
+
+    split_pool, submitters = spectral._split_pool, []
+
+    class Recording:
+        def __init__(self, pool):
+            self.pool = pool
+
+        def submit(self, *args):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame before Python 3.12
+                frame = frame.f_back
+            submitters.append((frame.f_globals["__name__"], frame.f_code.co_name))
+            return self.pool.submit(*args)
+
+    monkeypatch.setattr(spectral, "_cpus", lambda: 4)
+    monkeypatch.setattr(spectral, "_split_pool", lambda cpus: Recording(split_pool(cpus)))
+    u = growth.growth_family_coeffs(growth.GrowthFamilySpec(1.0, 1.25, 2 ** 16))
+    for call in (lambda: sobolev_norm(BoundaryDistribution(0, np.ones(2 ** 18)), 1.5),  # chunks
+                 lambda: growth.estimate_min_sobolev(u, range(-4, 4)),  # levels
+                 lambda: duality.verify_duality_isomorphism(0, 7, 1024, 9)):  # probe draws
+        before = len(submitters)
+        call()
+        assert len(submitters) > before
+    assert set(submitters) == {("diskdual.spectral", "_split")}
+    source = inspect.getsource(duality)
+    assert "_split_pool" not in source and "_cpus" not in source
+
+
 # ---------------------------------------------------------------- the whole scale
 # Properties over indices in [-400, 400], where norms leave the float range in
 # both directions; they are compared as log2 of spectral._norm_parts, and
