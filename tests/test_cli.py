@@ -292,6 +292,36 @@ def test_sobolev_norm_inside_the_float_range_is_computed(tmp_path):
     assert lines == ["numerical validity error: Sobolev norm of index 400.0 exceeds the float range"]
 
 
+@pytest.fixture
+def huge_file(tmp_path):
+    path = tmp_path / "huge.json"
+    write_coefficient_file(path, BoundaryDistribution(-2, np.full(5, 1e308)))
+    return str(path)
+
+
+# 2^18 synthesis nodes take the split transform, whose worker range sets its own np.errstate
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["cauchy", "--at", "0.1,0", "--curve", "circle:1.0", "--M", "1024"],
+    ["cauchy", "--at", "0.1,0", "--curve", "circle:1.0", "--M", str(2 ** 18)],
+    ["pair", "--curve", "circle:1.0", "--M", "64"],
+], ids=["cauchy", "cauchy-split", "pair"])
+def test_synthesis_overflow_is_one_line_without_warnings(huge_file, v_file, argv):
+    files = ["--u", huge_file, "--v", v_file] if argv[0] == "pair" else ["--in", huge_file]
+    code, out, lines, caught = _run_quietly(argv[:1] + files + argv[1:])
+    assert (code, out, caught) == (3, "", [])
+    assert lines == ["numerical validity error: contour integrand contains non-finite node values"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_pairing_overflow_is_one_line_without_warnings(huge_file, tmp_path):
+    ones = tmp_path / "ones.json"
+    write_coefficient_file(ones, BoundaryDistribution(-2, np.ones(5)))
+    code, out, lines, caught = _run_quietly(["pair", "--u", huge_file, "--v", str(ones)])
+    assert (code, out, caught) == (3, "", [])
+    assert len(lines) == 1 and lines[0].startswith("numerical validity error: document holds a non-finite number")
+
+
 @pytest.mark.parametrize("curve", ["circle:nan", "ellipse:inf,1"])
 def test_non_finite_curve_parameters_are_refused_in_one_line(u_file, v_file, curve):
     code, out, lines, caught = _run_quietly(["pair", "--u", u_file, "--v", v_file, "--curve", curve])

@@ -25,6 +25,7 @@ from diskdual import (
     InvalidDataError,
     InvalidGridError,
     QuadratureGrid,
+    boundary_node_values,
     fourier_analyze,
     fourier_synthesize,
     hardy_projections,
@@ -928,6 +929,166 @@ def test_koethe_pairing_is_symmetric_and_obeys_the_shift_estimate_on_the_whole_s
     if kappa != 0:
         bound = abs(sp) / 2 * math.log2(2.5) + _log2_norm(f, sp) + _log2_norm(g, -sp)
         assert math.log2(abs(kappa)) <= bound + 1e-9
+
+
+# ---------------------------------------------------------------- split transforms
+# A transform of at least spectral._FFT_SPLIT points runs as two half-length
+# transforms.  Its values are not numpy's bits: max|split - numpy| read at
+# most 5.3e-16 of max|numpy| at 2^18, 2^20 and 2^21 points.
+
+_FFT_SPLIT = spectral._FFT_SPLIT
+_FFT_TOL = 1e-15
+
+
+def _numpy_analysis(samples):
+    m = samples.size
+    spectrum = np.fft.fft(samples) / m
+    return np.concatenate([spectrum[m // 2 + 1:], spectrum[: m // 2 + 1]])
+
+
+def _numpy_synthesis(f, m):
+    spectrum = np.zeros(m, dtype=complex)
+    np.add.at(spectrum, f.frequencies % m, f.coeffs)
+    return np.fft.ifft(spectrum) * m
+
+
+def _relative_error(values, reference):
+    return np.abs(values - reference).max() / np.abs(reference).max()
+
+
+@pytest.mark.parametrize("m", [_FFT_SPLIT, 2 ** 20, _FFT_SPLIT + 6])
+def test_split_analysis_agrees_with_numpy(m):
+    rng = np.random.default_rng(m)
+    samples = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    f = fourier_analyze(samples)
+    assert f.n_min == -m // 2 + 1
+    assert _relative_error(f.coeffs, _numpy_analysis(samples)) <= _FFT_TOL
+
+
+@pytest.mark.parametrize("m", [_FFT_SPLIT, 2 ** 20, _FFT_SPLIT + 6])
+def test_split_synthesis_agrees_with_numpy(m):
+    rng = np.random.default_rng(m + 1)
+    span = m // 2 - 1
+    f = BoundaryDistribution(-span, rng.standard_normal(2 * span + 1) + 1j * rng.standard_normal(2 * span + 1))
+    assert _relative_error(fourier_synthesize(f, m), _numpy_synthesis(f, m)) <= _FFT_TOL
+
+
+def test_split_synthesis_folds_windows_longer_than_the_grid_like_add_at():
+    # zero padding on both sides wraps the window round the grid several
+    # times; runs of odd wraps enter the odd half with a minus sign
+    rng = np.random.default_rng(43)
+    m = _FFT_SPLIT
+    for span, pad_lo, pad_hi in [(m // 2 - 1, 2 * m + 5, m + 3), (1000, 3, 3 * m), (m // 4, m // 2, 0)]:
+        core = rng.standard_normal(2 * span + 1) + 1j * rng.standard_normal(2 * span + 1)
+        coeffs = np.concatenate([np.full(pad_lo, complex(-0.0, -0.0)), core, np.zeros(pad_hi)])
+        f = BoundaryDistribution(-span - pad_lo, coeffs)
+        assert _relative_error(fourier_synthesize(f, m), _numpy_synthesis(f, m)) <= _FFT_TOL
+
+
+def _split_transform_bytes(m):
+    rng = np.random.default_rng(m)
+    samples = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    f = BoundaryDistribution(-(m // 4), rng.standard_normal(m // 2) + 1j * rng.standard_normal(m // 2))
+    return fourier_analyze(samples).coeffs.tobytes() + fourier_synthesize(f, m).tobytes()
+
+
+@pytest.mark.parametrize("m", [_FFT_SPLIT, _FFT_SPLIT + 6])
+def test_split_transforms_are_the_same_bytes_on_any_number_of_cpus(monkeypatch, m):
+    real = _split_transform_bytes(m)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
+        assert _split_transform_bytes(m) == real, cpus
+
+
+def test_split_transforms_without_numpys_out_argument_are_the_same_bytes(monkeypatch):
+    # numpy 1.x takes no ``out``; its fallback copies each half into the buffer
+    expected = _split_transform_bytes(_FFT_SPLIT)
+    monkeypatch.setattr(spectral, "_FFT_OUT", False)
+    assert _split_transform_bytes(_FFT_SPLIT) == expected
+
+
+@pytest.mark.parametrize("m", [_FFT_SPLIT - 2, _FFT_SPLIT + 1])
+def test_transforms_that_are_not_split_keep_numpys_bits(m):
+    # below the threshold, and an odd synthesis grid, which has no halves
+    rng = np.random.default_rng(m)
+    f = BoundaryDistribution(-(m // 4), rng.standard_normal(m // 2) + 1j * rng.standard_normal(m // 2))
+    assert fourier_synthesize(f, m).tobytes() == _numpy_synthesis(f, m).tobytes()
+    if m % 2 == 0:
+        samples = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        spectrum = np.fft.fft(samples)
+        expected = np.concatenate([spectrum[m // 2 + 1:], spectrum[: m // 2 + 1]]) / m
+        assert fourier_analyze(samples).coeffs.tobytes() == expected.tobytes()
+
+
+def test_the_pinned_round_trips_stay_below_the_split():
+    # the 2^16 golden synthesizes on 2^17 points, so its digest holds numpy's bits
+    assert 2 * max(ROUND_TRIP_GOLDEN) < _FFT_SPLIT
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("m", [_FFT_SPLIT // 2, _FFT_SPLIT])
+def test_transform_overflow_is_one_error_without_warnings_on_both_paths(monkeypatch, cpus, m):
+    # worker threads do not see the caller's np.errstate: each range sets its own
+    monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
+    samples = np.full(m, 1e308 + 0j)
+    samples[1::2] = -1e308
+    with pytest.raises(InvalidDataError, match="non-finite"):
+        fourier_analyze(samples)
+    huge = BoundaryDistribution(-2, np.full(5, 1e308 + 0j))
+    assert not np.isfinite(fourier_synthesize(huge, m)).all()
+    grid = QuadratureGrid(m)
+    nodes = boundary_node_values(huge, CurveDescriptor.parse("circle:1.0"), grid)
+    with pytest.raises(InvalidDataError, match="non-finite node values"):
+        pairing_quadrature(nodes, nodes, CurveDescriptor.parse("circle:1.0"), grid)
+
+
+def test_concurrent_split_transforms_keep_their_bytes(monkeypatch):
+    # more callers than CPUs share the pool, switching threads as often as the interpreter allows
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+    m = _FFT_SPLIT
+    expected = _split_transform_bytes(m)
+    results, start = [], threading.Barrier(4)
+
+    def call():
+        start.wait(60)
+        for _ in range(2):
+            results.append(_split_transform_bytes(m))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call) for _ in range(4)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == [expected] * 8
+
+
+def test_the_fft_halves_reach_the_pool_through_the_one_helper(monkeypatch):
+    split_pool, submitters = spectral._split_pool, []
+
+    class Recording:
+        def __init__(self, pool):
+            self.pool = pool
+
+        def submit(self, *args):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame before Python 3.12
+                frame = frame.f_back
+            submitters.append(frame.f_code.co_name)
+            return self.pool.submit(*args)
+
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+    monkeypatch.setattr(spectral, "_split_pool", lambda cpus: Recording(split_pool(cpus)))
+    m = _FFT_SPLIT
+    fourier_synthesize(fourier_analyze(np.ones(m)), 2 * m)
+    # analysis: transforms, butterfly; synthesis: transforms, interleave
+    assert submitters == ["_split"] * 4
 
 
 # ---------------------------------------------------------------- golden round trip
