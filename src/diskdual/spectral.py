@@ -175,7 +175,8 @@ def fourier_analyze(samples) -> BoundaryDistribution:
 
     Returns c_n on the window n in [-M/2 + 1, M/2] with
     c_n = (1/M) sum_j f(theta_j) exp(-i n theta_j).  The sample count M is
-    taken from ``len(samples)`` and must be even and at least 2.
+    taken from ``len(samples)`` and must be even and at least 2.  From
+    M = 2^18 on the transform runs as two halves (:data:`_FFT_SPLIT`).
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim != 1:
@@ -202,6 +203,7 @@ def fourier_synthesize(f: BoundaryDistribution, m: int) -> np.ndarray:
 
     Inverse of :func:`fourier_analyze` on band-limited data; the grid must
     resolve the nonzero support (M >= 2 max|n| + 2) or the modes would alias.
+    From an even M = 2^18 on the transform runs as two halves (:data:`_FFT_SPLIT`).
     """
     m = int(m)
     if m < 2:
