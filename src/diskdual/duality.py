@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateInputError, InvalidDataError, InvalidFamilyError, TruncationError
-from .growth import classify_decay
+from .growth import _decay_verdict
 from .hardy import ExteriorFunction, InteriorFunction, hardy_projections, trace_interior
 from .spectral import (BoundaryDistribution, _norm_parts, _require_finite, _scaled, _split, _weighted_squares,
                        koethe_pairing)
@@ -390,10 +390,12 @@ def pairing_tail_certificate(
     if smooth_side not in ("interior", "exterior"):
         raise ValueError(f"smooth_side must be 'interior' or 'exterior', got {smooth_side!r}")
     smooth = a if smooth_side == "interior" else b
-    if classify_decay(smooth) != "smooth":
+    verdict, slopes = _decay_verdict(smooth)
+    if verdict != "smooth":
+        read = ", ".join(f"{slope:.4g}" for slope in slopes) or "none"
         raise InvalidFamilyError(
-            f"{smooth_side} family does not decay super-polynomially; "
-            "the pairing sum cannot be certified"
+            f"{smooth_side} family does not decay super-polynomially: classify_decay reads "
+            f"{verdict!r} from its last dyadic log2 slopes ({read}); the pairing sum cannot be certified"
         )
     size = min(a.size, b.size)
     if size < 16:

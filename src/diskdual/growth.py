@@ -236,11 +236,16 @@ def classify_decay(coeffs) -> str:
     stabilizes at a moderate value; anything else (e.g. exp(sqrt(n)) growth)
     is neither.
     """
+    return _decay_verdict(coeffs)[0]
+
+
+def _decay_verdict(coeffs) -> tuple[str, list[float]]:
+    """classify_decay's verdict and the last two (or fewer) dyadic log2 slopes it read."""
     mags = np.abs(np.asarray(coeffs, dtype=complex))
     if mags.size < 16:
         raise TruncationError(f"need support >= 16 to classify decay, got {mags.size}")
     if not mags.any():
-        return "smooth"
+        return "smooth", []
     exps: list[float] = []
     j = 1
     while 2 * j < mags.size:
@@ -248,16 +253,16 @@ def classify_decay(coeffs) -> str:
         if lo > 0 and hi > 0:
             exps.append(float(np.log2(hi / lo)))
         elif lo > 0 and hi == 0 and not mags[2 * j:].any():
-            return "smooth"  # finitely supported tail
+            return "smooth", exps[-2:]  # finitely supported tail
         j *= 2
     if len(exps) < 2:
-        return "smooth" if not mags[mags.size // 2:].any() else "neither"
+        return ("smooth" if not mags[mags.size // 2:].any() else "neither"), exps
     last, prev = exps[-1], exps[-2]
     if last <= -4.0 and last <= prev - 1.0:
-        return "smooth"
+        return "smooth", exps[-2:]
     if abs(last - prev) <= 0.5 and abs(last) <= 16.0:
-        return "finite-order"
-    return "neither"
+        return "finite-order", exps[-2:]
+    return "neither", exps[-2:]
 
 
 def build_growth_report(spec: GrowthFamilySpec, s_grid, radii=None) -> GrowthReport:

@@ -634,3 +634,21 @@ def test_the_smallest_quadrature_size_is_accepted(u_file, v_file, verb):
             else ["cauchy", "--in", u_file, "--at", "5,0"])
     code, out = _run(argv + ["--curve", "circle:1.0", "--M", "16"])
     assert code == 0 and json.loads(out)["M"] == 16
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "boundary", "n_min": True, "coeffs": [[True, False], [1, 2]]},
+     "boundary document: coeffs must be a list of [re, im] pairs"),
+    ({"kind": "interior", "n_min": 0, "coeffs": [[1.5, 2], [0.5, False]]},
+     "interior document: coeffs must be a list of [re, im] pairs"),
+    ({"kind": "boundary", "n_min": True, "coeffs": [[1, 2]]}, "n_min must be an integer"),
+    ({"kind": "boundary", "n_min": False, "coeffs": [[1, 2]]}, "n_min must be an integer"),
+    ({"kind": "interior", "n_min": 0, "coeffs": [[1, 2]], "s": True}, "index 's' must be a finite number"),
+    ({"kind": "exterior", "n_min": -1, "coeffs": [[1, 2]], "s": False}, "index 's' must be a finite number"),
+], ids=["bool coeffs", "bool imaginary part", "n_min true", "n_min false", "s true", "s false"])
+def test_json_booleans_are_not_read_as_numbers(tmp_path, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, lines, caught = _run_quietly(["norm", "--in", str(path), "--sp", "0"])
+    assert (code, out, caught) == (1, "", [])  # caught holds every warning, of any class
+    assert lines == [f"error: {message}"]

@@ -368,6 +368,22 @@ def test_scale_pairing_rejects_polynomial_against_polynomial():
         pairing_tail_certificate(n + 1.0, (n + 1.0) ** 2, smooth_side="exterior")
 
 
+def test_scale_pairing_refusal_names_the_decay_verdict_and_its_slopes():
+    # b_n = (n + 1)^2: the dyadic slopes log2(b_2j / b_j) at j = 8 and 16 settle near 2
+    n = np.arange(64, dtype=float)
+    slopes = [math.log2(((2 * j + 1) / (j + 1)) ** 2) for j in (8, 16)]
+    with pytest.raises(InvalidFamilyError) as caught:
+        pairing_tail_certificate(n + 1.0, (n + 1.0) ** 2, smooth_side="exterior")
+    assert str(caught.value) == (
+        "exterior family does not decay super-polynomially: classify_decay reads 'finite-order' from "
+        f"its last dyadic log2 slopes ({slopes[0]:.4g}, {slopes[1]:.4g}); the pairing sum cannot be certified")
+    # no dyadic pair j, 2j of nonzero terms, yet a nonzero second half: no slope decided it
+    lone = np.zeros(64)
+    lone[[0, 63]] = 1.0
+    with pytest.raises(InvalidFamilyError, match=r"reads 'neither' from its last dyadic log2 slopes \(none\)"):
+        pairing_tail_certificate(lone, n + 1.0, smooth_side="interior")
+
+
 def test_scale_pairing_degenerate_terms():
     with pytest.raises(DegenerateInputError):
         pairing_tail_certificate(np.zeros(64), 2.0 ** -np.arange(1, 65), smooth_side="exterior")
