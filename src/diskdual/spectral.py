@@ -16,11 +16,11 @@ The circle is positively (counterclockwise) oriented and i = +sqrt(-1).
 All containers are immutable after construction and every function here is
 pure (the one shared state is a thread pool, started on the first large
 transform, weight pass or probe draw), so concurrent use needs no locking.
-One helper, :func:`_split`, hands work to the pool: the two half-length
-transforms of a Fourier transform of at least 2^18 points and their
-butterfly or interleave, chunks of one level's elementwise passes over a
-large row, contiguous ranges of levels of a multi-level sum over a mid-sized
-row (:func:`_level_sums`) and ranges of the duality suite's probe draws.
+One helper, :func:`_split`, hands work to the pool: the column and the row
+passes of a Fourier transform of at least 2^18 points (:func:`_four_step`),
+chunks of one level's elementwise passes over a large row, contiguous
+ranges of levels of a multi-level sum over a mid-sized row
+(:func:`_level_sums`) and ranges of the duality suite's probe draws.
 Every sum stays serial, so the norms' bits are the serial ones; a split
 transform's bits are its own, the same on any number of CPUs.
 """
@@ -176,7 +176,8 @@ def fourier_analyze(samples) -> BoundaryDistribution:
     Returns c_n on the window n in [-M/2 + 1, M/2] with
     c_n = (1/M) sum_j f(theta_j) exp(-i n theta_j).  The sample count M is
     taken from ``len(samples)`` and must be even and at least 2.  From
-    M = 2^18 on the transform runs as two halves (:data:`_FFT_SPLIT`).
+    M = 2^18 on the transform runs as a four-step (:data:`_FFT_SPLIT`),
+    which writes the window order itself.
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim != 1:
@@ -188,7 +189,7 @@ def fourier_analyze(samples) -> BoundaryDistribution:
     half = m // 2
     coeffs = np.empty(m, dtype=complex)
     if m >= _FFT_SPLIT:
-        _analyze_halves(samples, coeffs)
+        _four_step(samples, np.empty(m, dtype=complex), coeffs, -1, half - 1)
         return _checked(-half + 1, coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
         spectrum = np.fft.fft(samples)
@@ -203,7 +204,7 @@ def fourier_synthesize(f: BoundaryDistribution, m: int) -> np.ndarray:
 
     Inverse of :func:`fourier_analyze` on band-limited data; the grid must
     resolve the nonzero support (M >= 2 max|n| + 2) or the modes would alias.
-    From an even M = 2^18 on the transform runs as two halves (:data:`_FFT_SPLIT`).
+    From an even M = 2^18 on the transform runs as a four-step (:data:`_FFT_SPLIT`).
     """
     m = int(m)
     if m < 2:
@@ -216,130 +217,122 @@ def fourier_synthesize(f: BoundaryDistribution, m: int) -> np.ndarray:
             raise AliasingError(
                 f"grid with M={m} aliases support |n| <= {span}; need M >= {2 * span + 2}"
             )
-    if m >= _FFT_SPLIT and m % 2 == 0:
-        return _synthesize_halves(f, m)
     spectrum = np.zeros(m, dtype=complex)
     _fold(f, spectrum)
+    if m >= _FFT_SPLIT and m % 2 == 0:
+        values = np.empty(m, dtype=complex)
+        _four_step(spectrum, spectrum, values, 1, 0)
+        return values
     with np.errstate(over="ignore", invalid="ignore"):  # callers scan the values
         values = np.fft.ifft(spectrum)
         values *= m
     return values
 
 
-def _fold(f: BoundaryDistribution, grid: np.ndarray, alternate: bool = False) -> None:
+def _fold(f: BoundaryDistribution, grid: np.ndarray) -> None:
     """Add f's window onto ``grid`` modulo its length, in window order (the order np.add.at uses).
 
     The frequencies n_min .. n_max are consecutive modulo the length, so they
-    fill contiguous runs of the grid, one per wrap q = floor(n / length).
-    With ``alternate`` the runs of odd wraps are subtracted instead.
+    fill contiguous runs of the grid, one per wrap.
     """
-    start, (wrap, pos) = 0, divmod(f.n_min, grid.size)
+    start, pos = 0, f.n_min % grid.size
     while start < f.coeffs.size:
         run = grid[pos: pos + f.coeffs.size - start]
-        (np.subtract if alternate and wrap % 2 else np.add)(run, f.coeffs[start: start + run.size], out=run)
-        start, pos, wrap = start + run.size, 0, wrap + 1
+        np.add(run, f.coeffs[start: start + run.size], out=run)
+        start, pos = start + run.size, 0
 
 
-# A transform of at least _FFT_SPLIT points is taken as two half-length
-# transforms, one per range of _split: the radix-2 step of Cooley and Tukey
-# (Math. Comp. 19, 1965), its halves on separate cores as in Bailey's
-# four-step scheme (J. Supercomputing 4, 1990).  Its values agree with
-# numpy's to about 5e-16 of the largest magnitude but are not its bits;
-# smaller transforms, the pinned round trip's 2^17-point synthesis among
-# them, keep numpy's.  The split is the same on any number of CPUs.  Every
-# buffer is allocated on the calling thread (on a 2-CPU Xeon worker-allocated
-# halves raised the oracle benchmark's peak RSS from 249 to 285 MB), and
-# numpy >= 2 transforms into it through ``out=``.  Synthesis interleaves the
-# halves in a pass of its own: transforming straight into values[0::2] and
-# values[1::2] had both threads write the same cache lines, 42 against 36 ms
-# at 2^21 points.
+# A transform of at least _FFT_SPLIT points is taken as a four-step (Bailey,
+# J. Supercomputing 4, 1990; Van Loan, Computational Frameworks for the FFT,
+# SIAM 1992, section 3.3), because one long np.fft call is cache-bound: on a
+# 2-CPU Xeon 2^20 points took 21 ms as one transform, 4.0 ms as 1024 x 1024
+# row transforms and 7.8 ms as column transforms.  The M points are an (r, c)
+# array, r the largest power of two that divides M but at most _FFT_ROWS.
+# Column transforms over ranges of columns, then twiddled row transforms over
+# ranges of rows, go to _split; the rows are written through ``out=`` into
+# the transposed view of the result, so it lands in order with no pass of its
+# own.  In a sweep of r = 2^4 .. 2^11 (medians of 15 interleaved calls), 2^9
+# took 20.6 ms for synthesis on 2^21 points (others 21.4-25.1) and 11.9 ms
+# for analysis of 2^20 (others 11.7-13.0).  Below _FFT_STRIDED rows, threads
+# writing through the transposed view share cache lines (two rows at
+# 2^18 + 6 points: 12.2 against 7.9 ms), so there the rows are transformed in
+# place and transposed in ranges of columns.  The values agree with numpy's
+# to about 5.5e-16 of the largest magnitude but are not its bits; where
+# pocketfft takes the row length by Bluestein's algorithm (2^18 + 2,
+# 2^18 + 8), both are about 1e-15 off an extended-precision transform and
+# differ by up to 1.5e-15.  Smaller transforms, the pinned round trip's
+# 2^17-point synthesis among them, keep numpy's bits.  The bits depend on M
+# alone, not on the CPU count.  Every M-point buffer is allocated on the
+# calling thread (worker-allocated buffers raised the oracle benchmark's
+# peak RSS from 249 to 285 MB), and numpy >= 2 transforms into it through
+# ``out=``.
 _FFT_SPLIT = 2 ** 18
+_FFT_ROWS, _FFT_STRIDED = 2 ** 9, 2 ** 6
 _FFT_OUT = int(np.__version__.split(".")[0]) >= 2
 
 
-def _fft_into(transform, a: np.ndarray, out: np.ndarray) -> None:
-    """out = transform(a, norm="forward"): the forward transform over its length, the inverse unscaled."""
+def _fft_into(transform, a: np.ndarray, out: np.ndarray, axis: int) -> None:
+    """out = transform(a, norm="forward") along ``axis``: the forward transform over its length, the inverse unscaled."""
     if _FFT_OUT:
-        transform(a, norm="forward", out=out)
+        transform(a, axis=axis, norm="forward", out=out)
     else:  # numpy 1.x has no ``out``
-        out[...] = transform(a, norm="forward")
+        out[...] = transform(a, axis=axis, norm="forward")
 
 
-def _twiddle(z: np.ndarray, m: int, sign: int, scale: float) -> None:
-    """z[k] *= scale * exp(sign 2 pi i k / m) in place, from two tables of about sqrt(z.size) entries.
+def _four_step(src: np.ndarray, work: np.ndarray, out: np.ndarray, sign: int, shift: int) -> None:
+    """out[i] = s sum_j src[j] exp(sign 2 pi i j (i - shift) / M), with s = 1/M for sign -1, else 1.
 
-    With w a power of two, the factor is rows[k // w] * cols[k % w]: one
-    broadcast pass per table over a (z.size // w, w) view, and the tail.
+    ``work`` (which may be ``src``) holds the column transforms.  With
+    j = n1 c + n2 and i = k + r q, out[k::r] is the row transform of
+    column-transform row (k - shift) mod r times exp(sign 2 pi i (k - shift) n2 / M):
+    the shift is how analysis writes its window order.  A row's factors are
+    outer[n2 // w] inner[n2 % w] up to the last multiple of w, from two
+    tables of about sqrt(c) entries, and their own exponentials past it.
     """
-    width = 1 << (z.size.bit_length() // 2)
-    step = sign * 2j * math.pi / m
-    rows, cols = np.exp(step * width * np.arange(-(-z.size // width))), np.exp(step * np.arange(width))
-    cols *= scale
-    whole = z.size // width * width
-    block = z[:whole].reshape(-1, width)
-    block *= rows[: block.shape[0], None]
-    block *= cols
-    if whole < z.size:
-        z[whole:] *= rows[-1] * cols[: z.size - whole]
+    m, transform = src.size, np.fft.fft if sign < 0 else np.fft.ifft
+    r = min(m & -m, _FFT_ROWS)
+    c = m // r
+    a, b = src.reshape(r, c), work.reshape(r, c)
+    strided = r >= _FFT_STRIDED
+    table, lead = out.reshape(c, r), shift % r
+    width = 1 << (c.bit_length() // 2)
+    whole, step = c // width * width, sign * 2j * math.pi / m
 
+    def factors(ks, n2):  # exp(step e), e = k n2 reduced exactly to [-M/2, M/2)
+        return np.exp(step * ((np.multiply.outer(ks, n2) + m // 2) % m - m // 2))
 
-def _analyze_halves(samples: np.ndarray, coeffs: np.ndarray) -> None:
-    """fourier_analyze's coefficients into ``coeffs`` by decimation in time.
-
-    With E and O the transforms of the even and odd samples and w^k =
-    exp(-2 pi i k / M), X_k = E_k + w^k O_k and X_{k+M/2} = E_k - w^k O_k; the
-    butterfly writes X / M straight into the window order n = -M/2 + 1 .. M/2.
-    """
-    m = samples.size
-    half = m // 2
-    even, odd = halves = np.empty(half, dtype=complex), np.empty(half, dtype=complex)
-
-    def transform(lo, hi):  # E / (M/2) and w^k O / (M/2), both halved: X / M
+    def columns(lo, hi):
         with np.errstate(over="ignore", invalid="ignore"):
-            for part in range(lo, hi):
-                _fft_into(np.fft.fft, samples[part::2], halves[part])
-                if part:
-                    _twiddle(odd, m, -1, 0.5)
-                else:
-                    np.multiply(even, 0.5, out=even)
+            _fft_into(transform, a[:, lo:hi], b[:, lo:hi], 0)
 
-    def butterfly(lo, hi):
+    def rows(lo, hi):  # result rows lo .. hi, whose source rows wrap at k = lead
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add(even[lo:hi], odd[lo:hi], out=coeffs[half - 1 + lo: half - 1 + hi])
-            start = max(lo, 1)  # X_{M/2} is c_{M/2}, the last entry
-            np.subtract(even[start:hi], odd[start:hi], out=coeffs[start - 1: hi - 1])
-            if lo == 0:
-                np.subtract(even[:1], odd[:1], out=coeffs[-1:])
+            for k, end in ((lo, min(hi, lead)), (max(lo, lead), hi)):
+                if k >= end:
+                    continue
+                first = (k - lead) % r
+                z = b[first: first + end - k]
+                ks = np.arange(k - shift, end - shift)
+                outer, inner, tail = (factors(ks, n2) for n2 in (np.arange(0, whole, width), np.arange(width),
+                                                                 np.arange(whole, c)))
+                # numpy copies an operand it updates in place unless it is contiguous, so with
+                # a tail row by row, which also keeps each product's rounding off the split
+                step_rows = end - k if whole == c else 1
+                for i in range(0, end - k, step_rows):
+                    body = z[i: i + step_rows, :whole].reshape(-1, whole // width, width)
+                    body *= outer[i: i + step_rows, :, None]
+                    body *= inner[i: i + step_rows, None, :]
+                    z[i: i + step_rows, whole:] *= tail[i: i + step_rows]
+                _fft_into(transform, z, table.T[k:end] if strided else z, 1)
 
-    _split(transform, 2, 2)
-    _split(butterfly, half, 2, _ALIGN)
+    def transpose(lo, hi):
+        table[lo:hi, lead:] = b[: r - lead, lo:hi].T
+        table[lo:hi, :lead] = b[r - lead:, lo:hi].T
 
-
-def _synthesize_halves(f: BoundaryDistribution, m: int) -> np.ndarray:
-    """fourier_synthesize's values on an even M-point grid by decimation in frequency.
-
-    With h = M/2 and n = k + h q, the even nodes are the inverse transform of
-    A_k = sum_q c_n and the odd ones that of B_k = exp(i pi k / h) sum_q (-1)^q c_n.
-    """
-    half = m // 2
-    values = np.empty(m, dtype=complex)
-    grids = np.zeros(half, dtype=complex), np.zeros(half, dtype=complex)
-
-    def transform(lo, hi):
-        with np.errstate(over="ignore", invalid="ignore"):
-            for part in range(lo, hi):
-                _fold(f, grids[part], alternate=part == 1)
-                if part:
-                    _twiddle(grids[part], m, 1, 1.0)
-                _fft_into(np.fft.ifft, grids[part], grids[part])
-
-    def interleave(lo, hi):
-        for part in (0, 1):
-            values[2 * lo + part: 2 * hi: 2] = grids[part][lo:hi]
-
-    _split(transform, 2, 2)
-    _split(interleave, half, 2, _ALIGN)
-    return values
+    _split(columns, c, c, _ALIGN)
+    _split(rows, r, r, 4 if strided else 1)
+    if not strided:
+        _split(transpose, c, c, _ALIGN)
 
 
 # Limits of _weighted_squares; past _MANTISSA_POW in |t| its mantissa power
@@ -607,7 +600,8 @@ def koethe_pairing(f: BoundaryDistribution, g: BoundaryDistribution) -> complex:
 def pad_or_truncate(f: BoundaryDistribution, n_lo: int, n_hi: int) -> BoundaryDistribution:
     """Restrict / zero-extend the stored window to [n_lo, n_hi].  Idempotent.
 
-    A window inside f's shares f's (read-only) array.
+    A window inside f's shares f's (read-only) array.  A window longer than
+    numpy can address raises ValueError naming f's n_min.
     """
     n_lo, n_hi = int(n_lo), int(n_hi)
     if n_lo > n_hi:
@@ -615,6 +609,9 @@ def pad_or_truncate(f: BoundaryDistribution, n_lo: int, n_hi: int) -> BoundaryDi
     if f.n_min <= n_lo and n_hi <= f.n_max:
         out = f.coeffs[n_lo - f.n_min: n_hi - f.n_min + 1]
     else:
+        if n_hi - n_lo >= np.iinfo(np.intp).max // 16:  # more complex entries than numpy addresses
+            raise ValueError(f"coefficients from n_min = {f.n_min} need the window n = {n_lo} .. {n_hi}, "
+                             f"{n_hi - n_lo + 1} entries, more than one array can hold")
         out = np.zeros(n_hi - n_lo + 1, dtype=complex)
         lo = max(n_lo, f.n_min)
         hi = min(n_hi, f.n_max)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -652,3 +653,36 @@ def test_json_booleans_are_not_read_as_numbers(tmp_path, doc, message):
     code, out, lines, caught = _run_quietly(["norm", "--in", str(path), "--sp", "0"])
     assert (code, out, caught) == (1, "", [])  # caught holds every warning, of any class
     assert lines == [f"error: {message}"]
+
+
+_HUGE_N_MIN = pytest.mark.parametrize("n_min", [10 ** 30, -2 ** 63 - 1], ids=["1e30", "-2^63-1"])
+
+
+def _huge_window_doc(tmp_path, n_min):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "boundary", "n_min": n_min, "coeffs": [[1, 2]]}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.filterwarnings("error")
+@_HUGE_N_MIN
+@pytest.mark.parametrize("verb", [["project", "--in"], ["dualize", "--s", "0", "--w"]], ids=["project", "dualize"])
+def test_a_split_window_no_array_can_hold_is_one_line_naming_n_min(tmp_path, capsys, n_min, verb):
+    # the Hardy split pads the window to n = 0 on one side and to n = -1 on the other
+    assert run(verb + [_huge_window_doc(tmp_path, n_min)]) == 1
+    lo, hi = (0, n_min) if n_min > 0 else (n_min, -1)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: coefficients from n_min = {n_min} need the window n = {lo} .. {hi}, "
+        f"{hi - lo + 1} entries, more than one array can hold"]
+
+
+@pytest.mark.filterwarnings("error")
+@_HUGE_N_MIN
+def test_norms_of_a_huge_n_min_document_stay_finite(tmp_path, capsys, n_min):
+    path = _huge_window_doc(tmp_path, n_min)
+    for sp in ("0", "1", "-0.5"):
+        assert run(["norm", "--in", path, "--sp", sp]) == 0
+        norm = json.loads(capsys.readouterr().out)["sobolev_norm"]
+        assert 0.0 < norm < math.inf

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -932,9 +933,9 @@ def test_koethe_pairing_is_symmetric_and_obeys_the_shift_estimate_on_the_whole_s
 
 
 # ---------------------------------------------------------------- split transforms
-# A transform of at least spectral._FFT_SPLIT points runs as two half-length
-# transforms.  Its values are not numpy's bits: max|split - numpy| read at
-# most 5.3e-16 of max|numpy| at 2^18, 2^20 and 2^21 points.
+# A transform of at least spectral._FFT_SPLIT points runs as a four-step of
+# column and row transforms.  Its values are not numpy's bits: max|split -
+# numpy| read at most 5.6e-16 of max|numpy| at 2^18, 2^20 and 2^21 points.
 
 _FFT_SPLIT = spectral._FFT_SPLIT
 _FFT_TOL = 1e-15
@@ -974,8 +975,7 @@ def test_split_synthesis_agrees_with_numpy(m):
 
 
 def test_split_synthesis_folds_windows_longer_than_the_grid_like_add_at():
-    # zero padding on both sides wraps the window round the grid several
-    # times; runs of odd wraps enter the odd half with a minus sign
+    # zero padding on both sides wraps the window round the grid several times
     rng = np.random.default_rng(43)
     m = _FFT_SPLIT
     for span, pad_lo, pad_hi in [(m // 2 - 1, 2 * m + 5, m + 3), (1000, 3, 3 * m), (m // 4, m // 2, 0)]:
@@ -1087,8 +1087,69 @@ def test_the_fft_halves_reach_the_pool_through_the_one_helper(monkeypatch):
     monkeypatch.setattr(spectral, "_split_pool", lambda cpus: Recording(split_pool(cpus)))
     m = _FFT_SPLIT
     fourier_synthesize(fourier_analyze(np.ones(m)), 2 * m)
-    # analysis: transforms, butterfly; synthesis: transforms, interleave
+    # analysis and synthesis each: column transforms, then row transforms
     assert submitters == ["_split"] * 4
+
+
+# The four-step views M points as an (r, c) array, r the largest power of two
+# dividing M up to spectral._FFT_ROWS.  An even M with an odd cofactor has
+# r = 2: its rows are transformed in place and transposed in a pass of their
+# own.  2^18 + 2 has r = 2 and row length 3 * 43691, which pocketfft takes by
+# Bluestein's algorithm: there numpy's own transform is 0.86-1.19e-15 of
+# max|X| off an extended-precision one, so r = 2 is held to _FFT_TOL at
+# 2 * 3^11 instead, and 2^18 + 2 to its bytes and its memory.
+
+
+def test_four_step_synthesis_on_2_21_points_agrees_with_numpy():
+    # the round trip's 2^20 coefficients synthesized on 2^21 points
+    m = 2 ** 21
+    rng = np.random.default_rng(21)
+    f = BoundaryDistribution(-m // 4 + 1, rng.standard_normal(m // 2) + 1j * rng.standard_normal(m // 2))
+    assert _relative_error(fourier_synthesize(f, m), _numpy_synthesis(f, m)) <= _FFT_TOL
+
+
+def test_four_step_with_two_rows_agrees_with_numpy():
+    m = 2 * 3 ** 11
+    rng = np.random.default_rng(m)
+    samples = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    assert _relative_error(fourier_analyze(samples).coeffs, _numpy_analysis(samples)) <= _FFT_TOL
+    f = BoundaryDistribution(-m // 2 + 1, samples[: m - 1])
+    assert _relative_error(fourier_synthesize(f, m), _numpy_synthesis(f, m)) <= _FFT_TOL
+
+
+@pytest.mark.parametrize("m", [2 ** 20, _FFT_SPLIT + 2])
+def test_four_step_is_the_same_bytes_on_one_two_and_three_cpus(monkeypatch, m):
+    runs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
+        runs.append(_split_transform_bytes(m))
+    assert runs == [runs[0]] * 3
+
+
+@pytest.mark.skipif(not spectral._FFT_OUT, reason="numpy 1.x has no out=: each transform fills a fresh array")
+@pytest.mark.parametrize("m", [2 ** 20, _FFT_SPLIT + 2])
+def test_four_step_allocates_one_grid_beside_its_result(monkeypatch, m):
+    # analysis: its coefficients and one M-point scratch; synthesis on 2M, as
+    # in the round trip: its values and the folded 2M-point grid.  The slack
+    # holds the twiddle tables, far below one more grid.
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+    rng = np.random.default_rng(m)
+    samples = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    f = BoundaryDistribution(-m // 2 + 1, samples[: m - 1])
+    fourier_synthesize(fourier_analyze(samples), 2 * m)  # start the pool outside the trace
+    entry, slack = np.dtype(complex).itemsize, m // 4
+    tracemalloc.start()
+    try:
+        coeffs = fourier_analyze(samples)
+        analysis = tracemalloc.get_traced_memory()[1]
+        del coeffs
+        tracemalloc.reset_peak()
+        fourier_synthesize(f, 2 * m)
+        synthesis = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert analysis <= (2 * m + slack) * entry
+    assert synthesis <= (4 * m + slack) * entry
 
 
 # ---------------------------------------------------------------- golden round trip
