@@ -16,7 +16,7 @@ The circle is positively (counterclockwise) oriented and i = +sqrt(-1).
 All containers are immutable after construction and every function here is
 pure (the one shared state is a thread pool, started on the first large
 transform, weight pass or probe draw), so concurrent use needs no locking.
-One helper, :func:`_split`, hands work to the pool: the column and the row
+One helper, :func:`_split`, hands work to the pool: the row and the column
 passes of a Fourier transform of at least 2^18 points (:func:`_four_step`),
 chunks of one level's elementwise passes over a large row, contiguous
 ranges of levels of a multi-level sum over a mid-sized row
@@ -177,7 +177,7 @@ def fourier_analyze(samples) -> BoundaryDistribution:
     c_n = (1/M) sum_j f(theta_j) exp(-i n theta_j).  The sample count M is
     taken from ``len(samples)`` and must be even and at least 2.  From
     M = 2^18 on the transform runs as a four-step (:data:`_FFT_SPLIT`),
-    which writes the window order itself.
+    which writes the window order itself, one entry ahead.
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim != 1:
@@ -187,10 +187,12 @@ def fourier_analyze(samples) -> BoundaryDistribution:
         raise InvalidGridError(f"uniform analysis grid needs an even sample count >= 2, got {m}")
     _require_finite(samples, "boundary samples")
     half = m // 2
+    if m >= _FFT_SPLIT:  # c_n for n = -M/2 .. M/2 - 1, then c_{M/2} = c_{-M/2}
+        window = np.empty(m + 1, dtype=complex)
+        _four_step(samples, window[:m], -1, half)
+        window[m] = window[0]
+        return _checked(-half + 1, window[1:])
     coeffs = np.empty(m, dtype=complex)
-    if m >= _FFT_SPLIT:
-        _four_step(samples, np.empty(m, dtype=complex), coeffs, -1, half - 1)
-        return _checked(-half + 1, coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
         spectrum = np.fft.fft(samples)
         # One pass divides by M and moves the negative frequencies first.
@@ -204,7 +206,8 @@ def fourier_synthesize(f: BoundaryDistribution, m: int) -> np.ndarray:
 
     Inverse of :func:`fourier_analyze` on band-limited data; the grid must
     resolve the nonzero support (M >= 2 max|n| + 2) or the modes would alias.
-    From an even M = 2^18 on the transform runs as a four-step (:data:`_FFT_SPLIT`).
+    From an even M = 2^18 on the transform runs as a four-step (:data:`_FFT_SPLIT`)
+    from the folded grid back into it.
     """
     m = int(m)
     if m < 2:
@@ -220,9 +223,8 @@ def fourier_synthesize(f: BoundaryDistribution, m: int) -> np.ndarray:
     spectrum = np.zeros(m, dtype=complex)
     _fold(f, spectrum)
     if m >= _FFT_SPLIT and m % 2 == 0:
-        values = np.empty(m, dtype=complex)
-        _four_step(spectrum, spectrum, values, 1, 0)
-        return values
+        _four_step(spectrum, spectrum, 1, 0)
+        return spectrum
     with np.errstate(over="ignore", invalid="ignore"):  # callers scan the values
         values = np.fft.ifft(spectrum)
         values *= m
@@ -248,26 +250,27 @@ def _fold(f: BoundaryDistribution, grid: np.ndarray) -> None:
 # 2-CPU Xeon 2^20 points took 21 ms as one transform, 4.0 ms as 1024 x 1024
 # row transforms and 7.8 ms as column transforms.  The M points are an (r, c)
 # array, r the largest power of two that divides M but at most _FFT_ROWS.
-# Column transforms over ranges of columns, then twiddled row transforms over
-# ranges of rows, go to _split; the rows are written through ``out=`` into
-# the transposed view of the result, so it lands in order with no pass of its
-# own.  In a sweep of r = 2^4 .. 2^11 (medians of 15 interleaved calls), 2^9
-# took 20.6 ms for synthesis on 2^21 points (others 21.4-25.1) and 11.9 ms
-# for analysis of 2^20 (others 11.7-13.0).  Below _FFT_STRIDED rows, threads
-# writing through the transposed view share cache lines (two rows at
-# 2^18 + 6 points: 12.2 against 7.9 ms), so there the rows are transformed in
-# place and transposed in ranges of columns.  The values agree with numpy's
-# to about 5.5e-16 of the largest magnitude but are not its bits; where
-# pocketfft takes the row length by Bluestein's algorithm (2^18 + 2,
-# 2^18 + 8), both are about 1e-15 off an extended-precision transform and
-# differ by up to 1.5e-15.  Smaller transforms, the pinned round trip's
-# 2^17-point synthesis among them, keep numpy's bits.  The bits depend on M
-# alone, not on the CPU count.  Every M-point buffer is allocated on the
-# calling thread (worker-allocated buffers raised the oracle benchmark's
-# peak RSS from 249 to 285 MB), and numpy >= 2 transforms into it through
-# ``out=``.
-_FFT_SPLIT = 2 ** 18
-_FFT_ROWS, _FFT_STRIDED = 2 ** 9, 2 ** 6
+# Row transforms of the r decimated sequences over ranges of rows, each row
+# twiddled, then column transforms over ranges of columns go to _split.  Each
+# thread writes whole rows of a scratch, then whole column ranges of the
+# result, so no two threads write one cache line, at r = 2 (an even M with an
+# odd cofactor) too, and the result lands in order with no pass of its own.
+# The scratch rows are padded to a multiple of the twiddle table width, past
+# c, so a power-of-two c does not map a column onto one cache set (2-5% on
+# 2^18 and 2^20 points).  In a sweep of r = 2 .. 2^11 (medians of 15
+# interleaved calls), 2^9 was within 5% of the fastest r for analysis and
+# synthesis at 2^18, 2^20 and 2^21 points; synthesis on 2^21 points took
+# 18.7 ms, against 18.1 at the fastest r and 31.5 for the radix-2 halves it
+# replaced.  The values agree with numpy's to about 6e-16 of the largest
+# magnitude but are not its bits; where pocketfft takes the row length by
+# Bluestein's algorithm (2^18 + 2, 2^18 + 8), both are about 1e-15 off an
+# extended-precision transform and differ by up to 1.4e-15.  Smaller
+# transforms, the pinned round trip's 2^17-point synthesis among them, keep
+# numpy's bits.  The bits depend on M alone, not on the CPU count.  Every
+# M-point buffer is allocated on the calling thread (worker-allocated buffers
+# raised the oracle benchmark's peak RSS from 249 to 285 MB), and numpy >= 2
+# transforms into it through ``out=``.
+_FFT_SPLIT, _FFT_ROWS = 2 ** 18, 2 ** 9
 _FFT_OUT = int(np.__version__.split(".")[0]) >= 2
 
 
@@ -279,60 +282,52 @@ def _fft_into(transform, a: np.ndarray, out: np.ndarray, axis: int) -> None:
         out[...] = transform(a, axis=axis, norm="forward")
 
 
-def _four_step(src: np.ndarray, work: np.ndarray, out: np.ndarray, sign: int, shift: int) -> None:
+def _four_step(src: np.ndarray, out: np.ndarray, sign: int, shift: int) -> None:
     """out[i] = s sum_j src[j] exp(sign 2 pi i j (i - shift) / M), with s = 1/M for sign -1, else 1.
 
-    ``work`` (which may be ``src``) holds the column transforms.  With
-    j = n1 c + n2 and i = k + r q, out[k::r] is the row transform of
-    column-transform row (k - shift) mod r times exp(sign 2 pi i (k - shift) n2 / M):
-    the shift is how analysis writes its window order.  A row's factors are
-    outer[n2 // w] inner[n2 % w] up to the last multiple of w, from two
-    tables of about sqrt(c) entries, and their own exponentials past it.
+    With j = n1 + r n2 and i = k1 + c k2, row n1 of an (r, p) scratch is the
+    row transform of src[n1::r] times exp(sign 2 pi i n1 (k1 - shift) / M),
+    and the columns of ``out`` (which may be ``src``) are the transforms of
+    its first c columns.  ``shift`` is a multiple of c, so it only rotates
+    the rows of ``out``.  A row's factors are outer[k1 // w] inner[k1 % w],
+    from two tables of about sqrt(c) entries; the row pitch p is the next
+    multiple of w above c, so one contiguous pass per table covers the rows.
     """
     m, transform = src.size, np.fft.fft if sign < 0 else np.fft.ifft
     r = min(m & -m, _FFT_ROWS)
     c = m // r
-    a, b = src.reshape(r, c), work.reshape(r, c)
-    strided = r >= _FFT_STRIDED
-    table, lead = out.reshape(c, r), shift % r
     width = 1 << (c.bit_length() // 2)
-    whole, step = c // width * width, sign * 2j * math.pi / m
+    pitch, step = (c // width + 1) * width, sign * 2j * math.pi / m
+    z, table = np.empty((r, pitch), dtype=complex), out.reshape(r, c)
+    z[:, c:] = 0  # the padding is twiddled too
+    # np.fft takes length-2 columns one at a time, at three times the cost of a
+    # butterfly, which does not scale: analysis's 1/2 goes on the rows instead
+    scale = 0.5 if r == 2 and sign < 0 else 1.0
 
-    def factors(ks, n2):  # exp(step e), e = k n2 reduced exactly to [-M/2, M/2)
-        return np.exp(step * ((np.multiply.outer(ks, n2) + m // 2) % m - m // 2))
+    def factors(ks, k1):  # exp(step e), e = n1 k1 reduced exactly to [-M/2, M/2)
+        return np.exp(step * ((np.multiply.outer(ks, k1) + m // 2) % m - m // 2))
+
+    def rows(lo, hi):
+        with np.errstate(over="ignore", invalid="ignore"):
+            _fft_into(transform, src.reshape(c, r).T[lo:hi], z[lo:hi, :c], 1)
+            if lo == 0 and scale != 1.0:
+                z[0] *= scale
+            lo = max(lo, 1)  # row 0's factors are all 1
+            ks = np.arange(lo, hi)
+            body = z[lo:hi].reshape(hi - lo, pitch // width, width)
+            body *= factors(ks, np.arange(0, pitch, width) - shift)[:, :, None]
+            body *= scale * factors(ks, np.arange(width))[:, None, :]
 
     def columns(lo, hi):
         with np.errstate(over="ignore", invalid="ignore"):
-            _fft_into(transform, a[:, lo:hi], b[:, lo:hi], 0)
+            if r > 2:
+                _fft_into(transform, z[:, lo:hi], table[:, lo:hi], 0)
+            else:
+                np.add(z[0, lo:hi], z[1, lo:hi], out=table[0, lo:hi])
+                np.subtract(z[0, lo:hi], z[1, lo:hi], out=table[1, lo:hi])
 
-    def rows(lo, hi):  # result rows lo .. hi, whose source rows wrap at k = lead
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, end in ((lo, min(hi, lead)), (max(lo, lead), hi)):
-                if k >= end:
-                    continue
-                first = (k - lead) % r
-                z = b[first: first + end - k]
-                ks = np.arange(k - shift, end - shift)
-                outer, inner, tail = (factors(ks, n2) for n2 in (np.arange(0, whole, width), np.arange(width),
-                                                                 np.arange(whole, c)))
-                # numpy copies an operand it updates in place unless it is contiguous, so with
-                # a tail row by row, which also keeps each product's rounding off the split
-                step_rows = end - k if whole == c else 1
-                for i in range(0, end - k, step_rows):
-                    body = z[i: i + step_rows, :whole].reshape(-1, whole // width, width)
-                    body *= outer[i: i + step_rows, :, None]
-                    body *= inner[i: i + step_rows, None, :]
-                    z[i: i + step_rows, whole:] *= tail[i: i + step_rows]
-                _fft_into(transform, z, table.T[k:end] if strided else z, 1)
-
-    def transpose(lo, hi):
-        table[lo:hi, lead:] = b[: r - lead, lo:hi].T
-        table[lo:hi, :lead] = b[r - lead:, lo:hi].T
-
+    _split(rows, r, r)
     _split(columns, c, c, _ALIGN)
-    _split(rows, r, r, 4 if strided else 1)
-    if not strided:
-        _split(transpose, c, c, _ALIGN)
 
 
 # Limits of _weighted_squares; past _MANTISSA_POW in |t| its mantissa power

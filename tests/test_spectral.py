@@ -934,8 +934,9 @@ def test_koethe_pairing_is_symmetric_and_obeys_the_shift_estimate_on_the_whole_s
 
 # ---------------------------------------------------------------- split transforms
 # A transform of at least spectral._FFT_SPLIT points runs as a four-step of
-# column and row transforms.  Its values are not numpy's bits: max|split -
-# numpy| read at most 5.6e-16 of max|numpy| at 2^18, 2^20 and 2^21 points.
+# row and column transforms.  Its values are not numpy's bits: max|split -
+# numpy| read at most 5.9e-16 of max|numpy| at 2^18, 2^20, 2^21 and 3 * 2^18
+# points, and at most 7.8e-16 at the other split sizes here, 2^18 + 2 aside.
 
 _FFT_SPLIT = spectral._FFT_SPLIT
 _FFT_TOL = 1e-15
@@ -957,7 +958,7 @@ def _relative_error(values, reference):
     return np.abs(values - reference).max() / np.abs(reference).max()
 
 
-@pytest.mark.parametrize("m", [_FFT_SPLIT, 2 ** 20, _FFT_SPLIT + 6])
+@pytest.mark.parametrize("m", [_FFT_SPLIT, 2 ** 20, _FFT_SPLIT + 6, 2 ** 9 * 3 ** 6, 4 * 3 ** 11])
 def test_split_analysis_agrees_with_numpy(m):
     rng = np.random.default_rng(m)
     samples = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -966,7 +967,7 @@ def test_split_analysis_agrees_with_numpy(m):
     assert _relative_error(f.coeffs, _numpy_analysis(samples)) <= _FFT_TOL
 
 
-@pytest.mark.parametrize("m", [_FFT_SPLIT, 2 ** 20, _FFT_SPLIT + 6])
+@pytest.mark.parametrize("m", [_FFT_SPLIT, 2 ** 20, _FFT_SPLIT + 6, 2 ** 9 * 3 ** 6, 4 * 3 ** 11])
 def test_split_synthesis_agrees_with_numpy(m):
     rng = np.random.default_rng(m + 1)
     span = m // 2 - 1
@@ -1087,17 +1088,18 @@ def test_the_fft_halves_reach_the_pool_through_the_one_helper(monkeypatch):
     monkeypatch.setattr(spectral, "_split_pool", lambda cpus: Recording(split_pool(cpus)))
     m = _FFT_SPLIT
     fourier_synthesize(fourier_analyze(np.ones(m)), 2 * m)
-    # analysis and synthesis each: column transforms, then row transforms
+    # analysis and synthesis each: row transforms, then column transforms
     assert submitters == ["_split"] * 4
 
 
 # The four-step views M points as an (r, c) array, r the largest power of two
 # dividing M up to spectral._FFT_ROWS.  An even M with an odd cofactor has
-# r = 2: its rows are transformed in place and transposed in a pass of their
-# own.  2^18 + 2 has r = 2 and row length 3 * 43691, which pocketfft takes by
-# Bluestein's algorithm: there numpy's own transform is 0.86-1.19e-15 of
-# max|X| off an extended-precision one, so r = 2 is held to _FFT_TOL at
-# 2 * 3^11 instead, and 2^18 + 2 to its bytes and its memory.
+# r = 2: its length-2 columns are one butterfly.  2^9 * 3^6 has a row length
+# no twiddle table width divides, and 4 * 3^11 has r = 4.  2^18 + 2 has r = 2
+# and row length 3 * 43691, which pocketfft takes by Bluestein's algorithm:
+# there numpy's own transform is 0.86-1.19e-15 of max|X| off an
+# extended-precision one, so r = 2 is held to _FFT_TOL at 2 * 3^11 instead,
+# and 2^18 + 2 to its bytes and its memory.
 
 
 def test_four_step_synthesis_on_2_21_points_agrees_with_numpy():
@@ -1117,7 +1119,7 @@ def test_four_step_with_two_rows_agrees_with_numpy():
     assert _relative_error(fourier_synthesize(f, m), _numpy_synthesis(f, m)) <= _FFT_TOL
 
 
-@pytest.mark.parametrize("m", [2 ** 20, _FFT_SPLIT + 2])
+@pytest.mark.parametrize("m", [2 ** 20, _FFT_SPLIT + 2, 2 ** 9 * 3 ** 6, 4 * 3 ** 11])
 def test_four_step_is_the_same_bytes_on_one_two_and_three_cpus(monkeypatch, m):
     runs = []
     for cpus in (1, 2, 3):
@@ -1130,8 +1132,9 @@ def test_four_step_is_the_same_bytes_on_one_two_and_three_cpus(monkeypatch, m):
 @pytest.mark.parametrize("m", [2 ** 20, _FFT_SPLIT + 2])
 def test_four_step_allocates_one_grid_beside_its_result(monkeypatch, m):
     # analysis: its coefficients and one M-point scratch; synthesis on 2M, as
-    # in the round trip: its values and the folded 2M-point grid.  The slack
-    # holds the twiddle tables, far below one more grid.
+    # in the round trip: the folded 2M-point grid, which becomes its values,
+    # and one 2M-point scratch.  The slack holds the twiddle tables and the
+    # scratch's row padding, far below one more grid.
     monkeypatch.setattr(spectral, "_cpus", lambda: 2)
     rng = np.random.default_rng(m)
     samples = rng.standard_normal(m) + 1j * rng.standard_normal(m)
