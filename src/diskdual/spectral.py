@@ -27,6 +27,7 @@ transform's bits are its own, the same on any number of CPUs.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -189,7 +190,7 @@ def fourier_analyze(samples) -> BoundaryDistribution:
     half = m // 2
     if m >= _FFT_SPLIT:  # c_n for n = -M/2 .. M/2 - 1, then c_{M/2} = c_{-M/2}
         window = np.empty(m + 1, dtype=complex)
-        _four_step(samples, window[:m], -1, half)
+        _four_step(lambda rows, first, r: samples.reshape(-1, r).T[first: first + len(rows)], window[:m], -1, half)
         window[m] = window[0]
         return _checked(-half + 1, window[1:])
     coeffs = np.empty(m, dtype=complex)
@@ -206,8 +207,8 @@ def fourier_synthesize(f: BoundaryDistribution, m: int) -> np.ndarray:
 
     Inverse of :func:`fourier_analyze` on band-limited data; the grid must
     resolve the nonzero support (M >= 2 max|n| + 2) or the modes would alias.
-    From an even M = 2^18 on the transform runs as a four-step (:data:`_FFT_SPLIT`)
-    from the folded grid back into it.
+    From an even M = 2^18 on the transform runs as a four-step (:data:`_FFT_SPLIT`),
+    whose rows fold the window themselves.
     """
     m = int(m)
     if m < 2:
@@ -220,56 +221,70 @@ def fourier_synthesize(f: BoundaryDistribution, m: int) -> np.ndarray:
             raise AliasingError(
                 f"grid with M={m} aliases support |n| <= {span}; need M >= {2 * span + 2}"
             )
-    spectrum = np.zeros(m, dtype=complex)
-    _fold(f, spectrum)
     if m >= _FFT_SPLIT and m % 2 == 0:
-        _four_step(spectrum, spectrum, 1, 0)
-        return spectrum
+        values = np.empty(m, dtype=complex)
+        _four_step(functools.partial(_fold, f), values, 1, 0)
+        return values
+    spectrum = np.empty(m, dtype=complex)
+    _fold(f, spectrum[None], 0, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # callers scan the values
         values = np.fft.ifft(spectrum)
         values *= m
     return values
 
 
-def _fold(f: BoundaryDistribution, grid: np.ndarray) -> None:
-    """Add f's window onto ``grid`` modulo its length, in window order (the order np.add.at uses).
+def _fold(f: BoundaryDistribution, rows: np.ndarray, first: int, step: int) -> np.ndarray:
+    """Set ``rows`` to rows first .. of f's window folded onto a grid decimated by ``step``, and return it.
 
-    The frequencies n_min .. n_max are consecutive modulo the length, so they
-    fill contiguous runs of the grid, one per wrap.
+    The grid has M = step * rows.shape[1] points; frequency n lands on point
+    j = n mod M, at rows[j % step - first, j // step], and each point adds
+    its frequencies in window order (the order np.add.at uses).  Frequency
+    n_min + i has t = (i + n_min % step) // step: the whole t between the
+    window's first and last are one 2-D view of it, and consecutive t fill
+    consecutive columns, one run per wrap.
     """
-    start, pos = 0, f.n_min % grid.size
-    while start < f.coeffs.size:
-        run = grid[pos: pos + f.coeffs.size - start]
-        np.add(run, f.coeffs[start: start + run.size], out=run)
-        start, pos = start + run.size, 0
+    rows[...] = 0
+    c, stop = rows.shape[1], first + rows.shape[0]
+    lead = f.n_min % step
+    col0 = (f.n_min - lead) // step % c  # the column of t = 0
+    last_t = (f.coeffs.size - 1 + lead) // step
+
+    def add(block, t, lo):  # block[k] holds the frequencies at t + k on rows lo ..
+        k = 0
+        while k < block.shape[0]:
+            pos = (col0 + t + k) % c
+            run = rows[lo - first: lo - first + block.shape[1], pos: pos + block.shape[0] - k]
+            np.add(run, block[k: k + run.shape[1]].T, out=run)
+            k += run.shape[1]
+
+    lo = max(first, lead)  # the first and last t may cover only some rows: slices end at the window's end
+    add(f.coeffs[lo - lead: max(lo, stop) - lead][None], 0, lo)
+    if last_t:
+        end = last_t * step - lead
+        add(f.coeffs[step - lead: end].reshape(-1, step)[:, first:stop], 1, first)
+        add(f.coeffs[end + first: end + stop][None], last_t, first)
+    return rows
 
 
 # A transform of at least _FFT_SPLIT points is taken as a four-step (Bailey,
 # J. Supercomputing 4, 1990; Van Loan, Computational Frameworks for the FFT,
 # SIAM 1992, section 3.3), because one long np.fft call is cache-bound: on a
 # 2-CPU Xeon 2^20 points took 21 ms as one transform, 4.0 ms as 1024 x 1024
-# row transforms and 7.8 ms as column transforms.  The M points are an (r, c)
-# array, r the largest power of two that divides M but at most _FFT_ROWS.
-# Row transforms of the r decimated sequences over ranges of rows, each row
-# twiddled, then column transforms over ranges of columns go to _split.  Each
-# thread writes whole rows of a scratch, then whole column ranges of the
-# result, so no two threads write one cache line, at r = 2 (an even M with an
-# odd cofactor) too, and the result lands in order with no pass of its own.
-# The scratch rows are padded to a multiple of the twiddle table width, past
-# c, so a power-of-two c does not map a column onto one cache set (2-5% on
-# 2^18 and 2^20 points).  In a sweep of r = 2 .. 2^11 (medians of 15
-# interleaved calls), 2^9 was within 5% of the fastest r for analysis and
-# synthesis at 2^18, 2^20 and 2^21 points; synthesis on 2^21 points took
-# 18.7 ms, against 18.1 at the fastest r and 31.5 for the radix-2 halves it
-# replaced.  The values agree with numpy's to about 6e-16 of the largest
-# magnitude but are not its bits; where pocketfft takes the row length by
-# Bluestein's algorithm (2^18 + 2, 2^18 + 8), both are about 1e-15 off an
-# extended-precision transform and differ by up to 1.4e-15.  Smaller
+# row transforms.  Its rows go first, so each thread writes whole rows of a
+# scratch, then whole column ranges of the result: no two threads write one
+# cache line, at r = 2 (an even M with an odd cofactor) too.  Synthesis folds
+# each range of rows on its thread; rows read from one folded grid took every
+# r-th point, 1.07-1.10 of the radix-2 halves' time at r = 2.  The scratch
+# rows are padded past c, so a power-of-two c does not map a column onto one
+# cache set (2-5% at 2^18 and 2^20 points).  r = 2^9 was within 8% of the
+# fastest r = 2 .. 2^11 at 2^18, 2^20 and 2^21 points.  The values agree
+# with numpy's to about 6e-16 of the largest magnitude (1.4e-15 where
+# pocketfft takes the row length by Bluestein's algorithm) but are not its
+# bits; the bits depend on M alone, not on the CPU count.  Smaller
 # transforms, the pinned round trip's 2^17-point synthesis among them, keep
-# numpy's bits.  The bits depend on M alone, not on the CPU count.  Every
-# M-point buffer is allocated on the calling thread (worker-allocated buffers
-# raised the oracle benchmark's peak RSS from 249 to 285 MB), and numpy >= 2
-# transforms into it through ``out=``.
+# numpy's bits.  Every M-point buffer is allocated on the calling thread
+# (worker-allocated buffers raised the oracle benchmark's peak RSS from 249
+# to 285 MB), and numpy >= 2 transforms into it through ``out=``.
 _FFT_SPLIT, _FFT_ROWS = 2 ** 18, 2 ** 9
 _FFT_OUT = int(np.__version__.split(".")[0]) >= 2
 
@@ -282,18 +297,21 @@ def _fft_into(transform, a: np.ndarray, out: np.ndarray, axis: int) -> None:
         out[...] = transform(a, axis=axis, norm="forward")
 
 
-def _four_step(src: np.ndarray, out: np.ndarray, sign: int, shift: int) -> None:
-    """out[i] = s sum_j src[j] exp(sign 2 pi i j (i - shift) / M), with s = 1/M for sign -1, else 1.
+def _four_step(rows_of, out: np.ndarray, sign: int, shift: int) -> None:
+    """out[i] = s sum_j x[j] exp(sign 2 pi i j (i - shift) / M), with s = 1/M for sign -1, else 1.
 
-    With j = n1 + r n2 and i = k1 + c k2, row n1 of an (r, p) scratch is the
-    row transform of src[n1::r] times exp(sign 2 pi i n1 (k1 - shift) / M),
-    and the columns of ``out`` (which may be ``src``) are the transforms of
-    its first c columns.  ``shift`` is a multiple of c, so it only rotates
-    the rows of ``out``.  A row's factors are outer[k1 // w] inner[k1 % w],
-    from two tables of about sqrt(c) entries; the row pitch p is the next
-    multiple of w above c, so one contiguous pass per table covers the rows.
+    M is out.size.  With j = n1 + r n2 and i = k1 + c k2, rows_of(rows,
+    first, r) returns x[n1::r] for n1 = first .. first + len(rows) - 1, as a
+    view of the input or written into ``rows``, the scratch rows that take
+    their transforms.  Row n1 of an (r, p) scratch is the transform of
+    x[n1::r] times exp(sign 2 pi i n1 (k1 - shift) / M), and the columns of
+    ``out`` are the transforms of its first c columns.  ``shift`` is a
+    multiple of c, so it only rotates the rows of ``out``.  A row's factors
+    are outer[k1 // w] inner[k1 % w], from two tables of about sqrt(c)
+    entries; the row pitch p is the next multiple of w above c, so one
+    contiguous pass per table covers the rows.
     """
-    m, transform = src.size, np.fft.fft if sign < 0 else np.fft.ifft
+    m, transform = out.size, np.fft.fft if sign < 0 else np.fft.ifft
     r = min(m & -m, _FFT_ROWS)
     c = m // r
     width = 1 << (c.bit_length() // 2)
@@ -309,7 +327,7 @@ def _four_step(src: np.ndarray, out: np.ndarray, sign: int, shift: int) -> None:
 
     def rows(lo, hi):
         with np.errstate(over="ignore", invalid="ignore"):
-            _fft_into(transform, src.reshape(c, r).T[lo:hi], z[lo:hi, :c], 1)
+            _fft_into(transform, rows_of(z[lo:hi, :c], lo, r), z[lo:hi, :c], 1)
             if lo == 0 and scale != 1.0:
                 z[0] *= scale
             lo = max(lo, 1)  # row 0's factors are all 1

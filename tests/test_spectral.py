@@ -986,6 +986,24 @@ def test_split_synthesis_folds_windows_longer_than_the_grid_like_add_at():
         assert _relative_error(fourier_synthesize(f, m), _numpy_synthesis(f, m)) <= _FFT_TOL
 
 
+@pytest.mark.parametrize("step", [1, 2, 4, 512])
+def test_a_decimated_fold_is_add_at_on_the_whole_grid_bit_for_bit(step):
+    # a split synthesis folds each range of rows itself; step 1 is the unsplit grid
+    rng = np.random.default_rng(step)
+    cols = 300
+    m = step * cols
+    for n_min, size in [(-3, 5), (-m // 2, m), (-2 * m - 7, 5 * m + 13), (m - 1, 2), (5, 1), (-1, step + 1)]:
+        coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        coeffs[::7] = complex(-0.0, -0.0)
+        f = BoundaryDistribution(n_min, coeffs)
+        grid = np.zeros(m, dtype=complex)
+        np.add.at(grid, f.frequencies % m, f.coeffs)
+        for first, count in [(0, step), (step // 2, step - step // 2), (step - 1, 1)]:
+            rows = np.full((count, cols), complex(np.nan, np.nan))
+            assert spectral._fold(f, rows, first, step) is rows
+            assert rows.tobytes() == grid.reshape(cols, step).T[first: first + count].tobytes()
+
+
 def _split_transform_bytes(m):
     rng = np.random.default_rng(m)
     samples = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -1132,9 +1150,9 @@ def test_four_step_is_the_same_bytes_on_one_two_and_three_cpus(monkeypatch, m):
 @pytest.mark.parametrize("m", [2 ** 20, _FFT_SPLIT + 2])
 def test_four_step_allocates_one_grid_beside_its_result(monkeypatch, m):
     # analysis: its coefficients and one M-point scratch; synthesis on 2M, as
-    # in the round trip: the folded 2M-point grid, which becomes its values,
-    # and one 2M-point scratch.  The slack holds the twiddle tables and the
-    # scratch's row padding, far below one more grid.
+    # in the round trip: its values and one 2M-point scratch, whose rows fold
+    # the window.  The slack holds the twiddle tables and the scratch's row
+    # padding, far below one more grid.
     monkeypatch.setattr(spectral, "_cpus", lambda: 2)
     rng = np.random.default_rng(m)
     samples = rng.standard_normal(m) + 1j * rng.standard_normal(m)
