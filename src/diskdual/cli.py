@@ -41,22 +41,27 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
-    if len(parts) not in (1, 2):
-        raise ValueError(f"expected 're,im', got {text!r}")
-    z = complex(float(parts[0]), float(parts[1]) if len(parts) == 2 else 0.0)
+    try:  # argparse would name the function, not the rule
+        z = complex(*map(float, parts)) if len(parts) <= 2 else math.nan
+    except ValueError:
+        z = math.nan
     if not cmath.isfinite(z):
         raise argparse.ArgumentTypeError(f"expected finite 're,im', got {text!r}")
     return z
 
 
 def _parse_int_grid(text: str) -> list[int]:
-    if ":" in text:
-        lo_text, hi_text = text.split(":", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if lo > hi:
-            raise ValueError(f"empty grid {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(p) for p in text.split(",")]
+    try:
+        if ":" in text:
+            lo_text, hi_text = text.split(":", 1)
+            grid = list(range(int(lo_text), int(hi_text) + 1))
+        else:
+            grid = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers 'a,b,...' or 'lo:hi', got {text!r}") from None
+    if not grid:
+        raise argparse.ArgumentTypeError(f"expected a nonempty grid 'lo:hi' with lo <= hi, got {text!r}")
+    return grid
 
 
 def non_negative_int(text: str) -> int:

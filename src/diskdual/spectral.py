@@ -18,11 +18,12 @@ pure (the one shared state is a thread pool, started on the first large
 transform, weight pass or probe draw), so concurrent use needs no locking.
 One helper, :func:`_split`, hands work to the pool: the row and the column
 passes of a Fourier transform of at least 2^18 points (:func:`_four_step`),
-chunks of one level's elementwise passes over a large row, contiguous
-ranges of levels of a multi-level sum over a mid-sized row
-(:func:`_level_sums`) and ranges of the duality suite's probe draws.
-Every sum stays serial, so the norms' bits are the serial ones; a split
-transform's bits are its own, the same on any number of CPUs.
+chunks of one level's elementwise passes over a large row, ranges of the
+leaves of a multi-level sum (:func:`_level_sums`) and ranges of the duality
+suite's probe draws.  A sum is cut only at subtrees of numpy's own pairwise
+summation, whose sums are added back in its order, so the norms' bits are
+the serial ones; a split transform's bits are its own, the same on any
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -358,18 +359,20 @@ _DIRECT_LOG2, _MANTISSA_POW, _INDEX_MAX = 1000.0, 1000.0, 2.0 ** 53
 # 0.47 ms (medians of 60) when split in two, one over 2^16 stayed at 0.30 ms.
 # Chunk bounds are multiples of _ALIGN elements, so every chunk keeps the
 # SIMD path and the alignment it has in the whole array and each bit is the
-# serial one.  Sums over the terms stay serial: their pairwise order depends
-# on blocking.
+# serial one.  A sum split anywhere else than numpy's own pairwise tree
+# would change its bits, so single-index sums stay serial.
 _CHUNK, _ALIGN = 2 ** 16, 64
-# A caller that sums several direct levels of one row of _LEVEL_MIN <= size <
-# _LEVEL_MAX weights gives each thread whole levels instead (_level_sums):
-# one handoff per call, not one per level.  On a 2-CPU Xeon the growth
-# report's eight-level curve took, level split over the per-level path
-# (medians of 60 interleaved calls, range of three sweeps), at 2^14 + 1
-# weights 1.06-1.07 of the time, 2^15 + 1 0.71-0.88, 2^16 + 1 0.71-0.80,
-# 2^17 + 1 0.93-0.98, 2^18 + 1 0.90-0.93, 2^19 + 1 1.10-1.13 and 2^20 + 1
-# 1.26-1.28: past 2^19 the second row buffer costs more than the split saves.
-_LEVEL_MIN, _LEVEL_MAX = 2 ** 15, 2 ** 19
+# Direct levels of one row are summed leaf by leaf along that tree
+# (_level_sums; Higham, SIAM J. Sci. Comput. 14(4), 1993, for the order):
+# a leaf of at most _LEAF weights keeps its squares, its 1 + n^2 and one
+# level's terms in cache (768 KiB) while all its levels are formed, where a
+# whole-row level passes three times over an 8 MiB row at 2^20.  On a 2-CPU
+# Xeon the growth report's eight levels over 2^20 + 1 weights took 19.2 ms
+# level by level over the whole row, and 21.6, 15.0, 12.9, 11.8, 12.1 and
+# 12.2 ms in leaves of 2^12 .. 2^17 (medians of 41): small leaves pay
+# numpy's per-call cost more often.  At 2^16 + 1 and 2^18 + 1 weights 2^15
+# was within 3% of the fastest leaf.
+_LEAF = 2 ** 15
 _pool, _pool_lock = None, threading.Lock()
 
 
@@ -515,38 +518,53 @@ def _weighted_squares(mags: np.ndarray, n_min: int, indices):
         yield terms, top[..., 0]
 
 
+def _pairwise(leaf_value, lo: int, hi: int, leaf: int):
+    """leaf_value(a, b) over the leaves of numpy's pairwise sum of entries lo .. hi - 1, added in its order.
+
+    A leaf is a largest subtree of at most ``leaf`` entries.  numpy's rule
+    (``pairwise_sum`` in numpy/_core/src/umath/loops_utils.h.src): a run of
+    n > 128 entries sums as its first n//2 - (n//2 mod 8) entries plus the
+    rest, so with ``leaf`` >= 128 every cut here is one numpy makes too.
+    With leaf_value(a, b) = x[a:b].sum() the result is x.sum() bit for bit;
+    with [(a, b)] it lists the leaves in order.
+    """
+    if hi - lo <= leaf:
+        return leaf_value(lo, hi)
+    half = (hi - lo) // 2
+    half -= half % 8
+    return _pairwise(leaf_value, lo, lo + half, leaf) + _pairwise(leaf_value, lo + half, hi, leaf)
+
+
 def _level_sums(mags: np.ndarray, n_min: int, indices) -> list:
     """[(terms.sum(), exponent)] per index of :func:`_weighted_squares`, bit for bit.
 
-    Two or more indices, all on the direct branch, over a 1-D row of
-    _LEVEL_MIN <= size < _LEVEL_MAX entries go to :func:`_split` as one
-    contiguous range of levels per thread, min(CPUs, levels) threads: one
-    handoff per call.  Each thread forms the power, the product and the
-    whole-row sum of its levels in a buffer of its own, allocated here on the
-    calling thread.  Any other call, or one CPU, takes the generator; a
-    caller that traps underflow gets the levels on its own thread.
+    A 1-D row whose indices are all on the direct branch is cut at the
+    leaves of :func:`_pairwise`, and ranges of leaves go to :func:`_split`.
+    Each leaf forms its scaled squares and its 1 + n^2 once, then the power,
+    the product and the leaf's ``.sum()`` of every index in a leaf-sized
+    buffer, and the leaf sums are added in tree order: every bit on any
+    number of CPUs.  A block of rows or a log-domain index takes the
+    generator; a caller that traps underflow gets the leaves on its own
+    thread.
     """
     size = mags.shape[-1]
     reach, count = _reach(n_min, size)
-    cpus = _cpus() if mags.ndim == 1 and _LEVEL_MIN <= size < _LEVEL_MAX and len(indices) > 1 else 1
-    # |t| reach < 1000 also keeps t finite and within 2^53, as reach >= 29 here
-    if cpus < 2 or not all(abs(t) * reach + count < _DIRECT_LOG2 for t in indices):
+    # reach >= 1 unless the row is n = 0 alone, so |t| reach < 1000 also keeps t finite and within 2^53
+    if mags.ndim != 1 or not reach or not all(abs(t) * reach + count < _DIRECT_LOG2 for t in indices):
         return [(terms.sum(), exponent) for terms, exponent in _weighted_squares(mags, n_min, indices)]
-    scaled, shift = _scaled_squares(mags)
-    base = _weight_base(n_min, size)
-    threads = min(cpus, len(indices))
-    buffers = [np.empty(size) for _ in range(threads)]
-    sums = [None] * len(indices)
+    shift = math.frexp(mags.max(initial=0.0))[1]
+    leaves, sums = _pairwise(lambda lo, hi: [(lo, hi)], 0, size, _LEAF), {}
 
-    def run(lo, hi):
-        weights = buffers.pop()  # list.pop is atomic, and _split runs at most `threads` ranges
-        for position in range(lo, hi):
-            t = indices[position]
-            terms = scaled if t == 0 else np.multiply(np.power(base, t, out=weights), scaled, out=weights)
-            sums[position] = terms.sum()
+    def run(first, last):
+        for lo, hi in leaves[first:last]:
+            scaled = np.ldexp(mags[lo:hi], -shift)
+            scaled *= scaled
+            base, terms = _weight_base(n_min + lo, hi - lo), np.empty(hi - lo)
+            sums[lo] = np.array([(np.multiply(np.power(base, t, out=terms), scaled, out=terms) if t else scaled).sum()
+                                 for t in indices])
 
-    _split(run, len(indices), threads)
-    return [(total, 2 * shift) for total in sums]
+    _split(run, len(leaves), len(leaves))
+    return [(total, 2 * shift) for total in _pairwise(lambda lo, hi: sums[lo], 0, size, _LEAF)]
 
 
 def _scaled(value: float, exponent, what: str | None = None) -> float:

@@ -506,6 +506,25 @@ def test_non_finite_evaluation_point_is_a_usage_error(u_file, argv):
     assert lines == [f"usage error: argument --at: expected finite 're,im', got '{argv[1]}'"]
 
 
+# A malformed point or grid names the rule it breaks, not the parsing function.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, option, rule", [
+    ("cauchy --in {u} --at 1,2,3", "--at", "finite 're,im'"),
+    ("cauchy --in {u} --at 1,", "--at", "finite 're,im'"),
+    ("gen --family --N 8 --z0 1,2,3", "--z0", "finite 're,im'"),
+    ("growth --gamma 2 --N 64 --z0 x", "--z0", "finite 're,im'"),
+    ("growth --gamma 2 --N 64 --s-grid=3:-3", "--s-grid", "a nonempty grid 'lo:hi' with lo <= hi"),
+    ("growth --gamma 2 --N 64 --s-grid=1,x", "--s-grid", "integers 'a,b,...' or 'lo:hi'"),
+    ("growth --gamma 2 --N 64 --s-grid=1:x", "--s-grid", "integers 'a,b,...' or 'lo:hi'"),
+], ids=["at-three-parts", "at-empty-part", "gen-z0", "growth-z0", "empty-grid", "grid-list", "grid-range"])
+def test_malformed_points_and_grids_are_usage_errors_naming_the_rule(u_file, argv, option, rule):
+    argv = argv.format(u=u_file).split()
+    text = argv[argv.index(option) + 1] if option in argv else argv[-1].split("=", 1)[1]
+    code, out, lines, caught = _run_quietly(argv)
+    assert (code, out, caught) == (1, "", [])
+    assert lines == [f"usage error: argument {option}: expected {rule}, got '{text}'"]
+
+
 # Every float flag refuses nan and +-inf in argparse, in one line that names it.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "abc"])

@@ -164,7 +164,7 @@ def test_weighted_levels_equal_the_per_level_formula():
 @pytest.mark.parametrize("degree", [2 ** 15 - 2, 2 ** 15, 2 ** 16])
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_levels_split_across_cpus_equal_the_per_level_formula(monkeypatch, cpus, degree):
-    # from 2^15 weights the levels are summed on several threads, bit for bit
+    # past 2^15 weights the levels are summed in leaves on several threads, bit for bit
     u = _family(1.25, z0=np.exp(0.9j), degree=degree)
     expected = tuple((s, sobolev_norm(trace_interior(u), s - 0.5)) for s in range(-4, 4))
     monkeypatch.setattr(spectral, "_cpus", lambda: cpus)

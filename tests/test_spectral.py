@@ -710,10 +710,11 @@ def test_a_forked_child_splits_on_a_fresh_pool(monkeypatch):
 
 
 # ---------------------------------------------------------------- level sums
-# Several direct levels of one row of 2^15 <= size < 2^19 weights are summed
-# on several threads, whole levels each.  Every sum must be the generator's.
+# Direct levels of one row are summed leaf by leaf along numpy's pairwise
+# tree, ranges of leaves on several threads.  Every sum must be the generator's.
 
-_LEVEL_SIZES = [2 ** 15 - 1, 2 ** 15, 2 ** 16 + 1, 2 ** 18 + 1, 2 ** 19 - 1, 2 ** 19]
+_LEVEL_SIZES = [2 ** 14 + 1, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 2 ** 16 + 1, 2 ** 17 + 1, 2 ** 18 + 1,
+                2 ** 19 - 1, 2 ** 19, 2 ** 19 + 1, 2 ** 20 + 1]
 _LEVEL_GRIDS = {
     "default": tuple(s - 0.5 for s in range(-4, 4)),
     "three": (-2.5, 0.5, 1.5),
@@ -730,9 +731,8 @@ def _level_row(size):
     return mags
 
 
-def _level_split_runs(size, grid):
-    return (2 ** 15 <= size < 2 ** 19 and all(
-        abs(t) * math.log2(1 + (size - 1) ** 2) + math.log2(size) < spectral._DIRECT_LOG2 for t in grid))
+def _all_direct(size, grid):
+    return all(abs(t) * math.log2(1 + (size - 1) ** 2) + math.log2(size) < spectral._DIRECT_LOG2 for t in grid)
 
 
 def _as_bits(sums):
@@ -741,7 +741,7 @@ def _as_bits(sums):
 
 @pytest.fixture(scope="module")
 def serial_level_sums():
-    cache = {}
+    cache, generator = {}, spectral._weighted_squares  # the real one, whatever a test patches in
 
     def get(size, grid):
         if (size, grid) not in cache:
@@ -749,7 +749,7 @@ def serial_level_sums():
             try:
                 spectral._cpus = lambda: 1
                 cache[size, grid] = _as_bits([(terms.sum(), e) for terms, e in
-                                              spectral._weighted_squares(_level_row(size), 0, grid)])
+                                              generator(_level_row(size), 0, grid)])
             finally:
                 spectral._cpus = cpus
         return cache[size, grid]
@@ -772,17 +772,58 @@ def test_level_sums_are_the_generators_bit_for_bit(monkeypatch, serial_level_sum
     bits, exponents = _as_bits(spectral._level_sums(_level_row(size), 0, _LEVEL_GRIDS[grid]))
     expected_bits, expected_exponents = serial_level_sums(size, _LEVEL_GRIDS[grid])
     assert np.array_equal(bits, expected_bits) and exponents == expected_exponents
-    assert bool(calls) == (cpus == 1 or not _level_split_runs(size, _LEVEL_GRIDS[grid]))
+    assert bool(calls) == (not _all_direct(size, _LEVEL_GRIDS[grid]))
 
 
 def test_one_level_takes_the_generator(monkeypatch):
+    # one level is summed leaf by leaf as well, with the generator's bits
     monkeypatch.setattr(spectral, "_cpus", lambda: 4)
-    monkeypatch.setattr(spectral, "_pool", None)
     mags = _level_row(2 ** 16 + 1)
     (total, exponent), = spectral._level_sums(mags, 0, (-0.5,))
     terms, expected_exponent = next(spectral._weighted_squares(mags, 0, (-0.5,)))
     assert total.tobytes() == terms.sum().tobytes() and exponent == expected_exponent
-    assert spectral._pool is None
+
+
+def test_level_sums_are_the_generators_bit_for_bit_without_avx512():
+    # leaves against the generator inside that process; its bytes may differ from these
+    code = "\n".join(["import numpy as np", "from diskdual import spectral", inspect.getsource(_level_row),
+                      "spectral._cpus = lambda: 2",
+                      f"grid = {_LEVEL_GRIDS['default']!r}",
+                      "def same(size):",
+                      "    sums = [total for total, _ in spectral._level_sums(_level_row(size), 0, grid)]",
+                      "    terms = spectral._weighted_squares(_level_row(size), 0, grid)",
+                      "    return np.array(sums).tobytes() == np.array([t.sum() for t, _ in terms]).tobytes()",
+                      "print([size for size in (2 ** 14 + 1, 2 ** 15 + 1, 2 ** 20 + 1) if not same(size)])"])
+    assert _python(code, NPY_DISABLE_CPU_FEATURES=_NO_AVX512) == "[]\n"
+
+
+def test_a_one_leaf_row_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(spectral, "_cpus", lambda: 4)
+    monkeypatch.setattr(spectral, "_pool", None)
+    threads = threading.active_count()
+    spectral._level_sums(_level_row(spectral._LEAF), 0, _LEVEL_GRIDS["default"])
+    assert spectral._pool is None and threading.active_count() == threads
+
+
+def _tree_data(seed, size):
+    """Signed zeros, subnormals, values near 2^-1000 and 2^1000 and ordinary ones, mixed at random."""
+    rng = np.random.default_rng(seed)
+    exponents = rng.choice([-1100, -1060, -1000, 0, 1000], size)  # -1100 is 0.0, -1060 subnormal
+    return np.copysign(np.ldexp(rng.random(size) + 1.0, exponents), rng.random(size) - 0.5)
+
+
+_TREE_SIZES = st.integers(1, 2 ** 21) | st.sampled_from([128, 129, 2 ** 15 - 1, 2 ** 15 + 1, 2 ** 20 + 1])
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), size=_TREE_SIZES, leaf=st.sampled_from([128, 2 ** 15]))
+def test_leaf_sums_added_in_tree_order_are_numpys_sum(seed, size, leaf):
+    x = _tree_data(seed, size)
+    leaves = spectral._pairwise(lambda lo, hi: [(lo, hi)], 0, size, leaf)
+    assert leaves[0][0] == 0 and leaves[-1][1] == size and all(hi - lo <= leaf for lo, hi in leaves)
+    assert all(a[1] == b[0] for a, b in zip(leaves, leaves[1:]))
+    total = spectral._pairwise(lambda lo, hi: x[lo:hi].sum(), 0, size, leaf)
+    assert total.tobytes() == x.sum().tobytes()
 
 
 def test_a_caller_that_traps_underflow_sums_levels_serially(monkeypatch):
