@@ -209,7 +209,7 @@ def functional_norm_closed_form(functional: DualFunctional) -> float:
 
 def _maximizer_weights(s: int, size: int) -> np.ndarray:
     """(1 + n^2)^(1/2 - s) for n < size, times the kernel's power-of-two scale."""
-    return next(_weighted_squares(np.ones(size), 0, (0.5 - s,)))[0]
+    return _weighted_squares(np.ones(size), 0, 0.5 - s)[0]
 
 
 def _bruteforce_rows(b: np.ndarray, mags: np.ndarray, s: int, degree_cap: int, iterations: int,
@@ -312,8 +312,9 @@ def _dual_norm_parts(mags: np.ndarray, s: int) -> list[list]:
 
     Returns the lists [root, k, trace root, trace k], each norm being root * 2^k.
     """
-    # The trace holds b_m at frequency -m: each row reversed.  The kernel sums
-    # terms it writes into a fresh array, so the reversed view rounds as a copy would.
+    # The trace holds b_m at frequency -m: each row reversed.  A block's terms
+    # are summed from a fresh array the kernel writes, so the reversed view
+    # rounds as a copy would.
     dual = _norm_parts(mags, 0, 0.5 - s)
     trace = _norm_parts(mags[:, ::-1], -mags.shape[1], 0.5 - s)
     return [part.tolist() for part in (*dual, *trace)]

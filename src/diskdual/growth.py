@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidDataError, TruncationError
 from .hardy import InteriorFunction, evaluate_interior
-from .spectral import _level_sums, _scaled, _weighted_squares
+from .spectral import _level_sums, _scaled, _scaled_squares
 
 __all__ = [
     "GrowthFamilySpec",
@@ -146,7 +146,7 @@ def _tail_exponent(mags: np.ndarray) -> tuple[float | None, float | None]:
     top = mags.size.bit_length() - 1  # the last full block ends at 2^top
     count = min(top - 3, _BLOCKS)
     lo = 2 ** (top - count)
-    squares, _ = next(_weighted_squares(mags[lo: 2 ** top], 0, (0,)))
+    squares, _ = _scaled_squares(mags[lo: 2 ** top])
     sums = np.add.reduceat(squares, lo * (2 ** np.arange(count) - 1))
     if not sums[-1]:
         return -math.inf, 0.0

@@ -15,15 +15,14 @@ n = n_min .. n_max.  Conventions used by the whole package:
 The circle is positively (counterclockwise) oriented and i = +sqrt(-1).
 All containers are immutable after construction and every function here is
 pure (the one shared state is a thread pool, started on the first large
-transform, weight pass or probe draw), so concurrent use needs no locking.
-One helper, :func:`_split`, hands work to the pool: the row and the column
-passes of a Fourier transform of at least 2^18 points (:func:`_four_step`),
-chunks of one level's elementwise passes over a large row, ranges of the
-leaves of a multi-level sum (:func:`_level_sums`) and ranges of the duality
-suite's probe draws.  A sum is cut only at subtrees of numpy's own pairwise
-summation, whose sums are added back in its order, so the norms' bits are
-the serial ones; a split transform's bits are its own, the same on any
-number of CPUs.
+transform, weighted square sum or probe draw), so concurrent use needs no
+locking.  One helper, :func:`_split`, hands work to the pool: the row and the
+column passes of a Fourier transform of at least 2^18 points
+(:func:`_four_step`), ranges of the leaves of a weighted square sum over one
+row (:func:`_leaf_sums`) and ranges of the duality suite's probe draws.  A
+sum is cut only at subtrees of numpy's own pairwise summation, whose sums are
+added back in its order, so the norms' bits are the serial ones; a split
+transform's bits are its own, the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -277,8 +276,9 @@ def _fold(f: BoundaryDistribution, rows: np.ndarray, first: int, step: int) -> n
 # each range of rows on its thread; rows read from one folded grid took every
 # r-th point, 1.07-1.10 of the radix-2 halves' time at r = 2.  The scratch
 # rows are padded past c, so a power-of-two c does not map a column onto one
-# cache set (2-5% at 2^18 and 2^20 points).  r = 2^9 was within 8% of the
-# fastest r = 2 .. 2^11 at 2^18, 2^20 and 2^21 points.  The values agree
+# cache set (2-5% at 2^18 and 2^20 points), and column ranges start at
+# multiples of _ALIGN elements.  r = 2^9 was within 8% of the fastest
+# r = 2 .. 2^11 at 2^18, 2^20 and 2^21 points.  The values agree
 # with numpy's to about 6e-16 of the largest magnitude (1.4e-15 where
 # pocketfft takes the row length by Bluestein's algorithm) but are not its
 # bits; the bits depend on M alone, not on the CPU count.  Smaller
@@ -286,7 +286,7 @@ def _fold(f: BoundaryDistribution, rows: np.ndarray, first: int, step: int) -> n
 # numpy's bits.  Every M-point buffer is allocated on the calling thread
 # (worker-allocated buffers raised the oracle benchmark's peak RSS from 249
 # to 285 MB), and numpy >= 2 transforms into it through ``out=``.
-_FFT_SPLIT, _FFT_ROWS = 2 ** 18, 2 ** 9
+_FFT_SPLIT, _FFT_ROWS, _ALIGN = 2 ** 18, 2 ** 9, 64
 _FFT_OUT = int(np.__version__.split(".")[0]) >= 2
 
 
@@ -353,17 +353,8 @@ def _four_step(rows_of, out: np.ndarray, sign: int, shift: int) -> None:
 # is taken in the log domain, good to about |t| ulps.
 _DIRECT_LOG2, _MANTISSA_POW, _INDEX_MAX = 1000.0, 1000.0, 2.0 ** 53
 
-# A direct pass over at least 2 * _CHUNK weights is cut into up to one chunk
-# per CPU the process may run on, each of at least about _CHUNK weights.  On
-# a 2-CPU Xeon a power-and-multiply pass over 2^17 weights went from 0.62 to
-# 0.47 ms (medians of 60) when split in two, one over 2^16 stayed at 0.30 ms.
-# Chunk bounds are multiples of _ALIGN elements, so every chunk keeps the
-# SIMD path and the alignment it has in the whole array and each bit is the
-# serial one.  A sum split anywhere else than numpy's own pairwise tree
-# would change its bits, so single-index sums stay serial.
-_CHUNK, _ALIGN = 2 ** 16, 64
-# Direct levels of one row are summed leaf by leaf along that tree
-# (_level_sums; Higham, SIAM J. Sci. Comput. 14(4), 1993, for the order):
+# Direct levels of one row are summed leaf by leaf along numpy's pairwise
+# tree (_leaf_sums; Higham, SIAM J. Sci. Comput. 14(4), 1993, for the order):
 # a leaf of at most _LEAF weights keeps its squares, its 1 + n^2 and one
 # level's terms in cache (768 KiB) while all its levels are formed, where a
 # whole-row level passes three times over an 8 MiB row at 2^20.  On a 2-CPU
@@ -453,69 +444,53 @@ def _weight_base(n_min: int, size: int) -> np.ndarray:
     return base
 
 
-def _weighted_squares(mags: np.ndarray, n_min: int, indices):
-    """Yield (terms, exponent) per index t with terms * 2**exponent = (1 + n^2)^t mags^2.
+def _log_split(mags: np.ndarray, n_min: int):
+    """((mb, eb), (squares, ec)): mantissas and exponents of 1 + n^2 and of mags, the mantissas of mags squared."""
+    split = (mb, eb), (squares, ec) = np.frexp(_weight_base(n_min, mags.shape[-1])), np.frexp(mags)
+    squares *= squares
+    return split
+
+
+def _weighted_squares(mags: np.ndarray, n_min: int, t: float, split=None):
+    """(terms, exponent) with terms * 2**exponent = (1 + n^2)^t mags^2.
 
     ``mags`` holds magnitudes along its last axis at n = n_min, n_min + 1, ...;
     each row has its own even exponent (shape ``mags.shape[:-1]``) and sums
-    to less than 2^1000.  ``indices`` is a sequence.  The yielded buffer is
-    reused for the next index, and no later index reads it.  While
-    |t| log2(1 + max n^2) + log2(size) < 1000 the weights are
-    np.power(1 + n^2, t) and each row is scaled by a power of two, so the
-    terms are the direct expression scaled exactly.  At t = 0 the weights are
-    exactly 1, so the terms are the scaled squares, yielded uncopied when no
-    index follows, and the array 1 + n^2 is built only for the first t != 0.
-    Otherwise every weight and square is split into mantissa and exponent
-    (Blue, ACM TOMS 4(1), 1978; Anderson, ACM TOMS 44(1), 2017), the terms
-    are formed relative to the row's largest one, and those below 2^-1074 of
-    it become zero.  An index that is not finite or exceeds 2^53 in
-    magnitude raises :class:`InvalidDataError`.
+    to less than 2^1000.  While |t| log2(1 + max n^2) + log2(size) < 1000
+    the weights are np.power(1 + n^2, t) and each row is scaled by a power
+    of two, so the terms are the direct expression scaled exactly; at t = 0
+    they are the scaled squares.  Otherwise every weight and square is split
+    into mantissa and exponent (Blue, ACM TOMS 4(1), 1978; Anderson, ACM
+    TOMS 44(1), 2017), the terms are formed relative to the row's largest
+    one, and those below 2^-1074 of it become zero.  ``split`` is
+    :func:`_log_split` of the same arguments, which a caller taking several
+    such indices computes once; it is only read.  An index that is not
+    finite or exceeds 2^53 in magnitude raises :class:`InvalidDataError`.
     """
-    size = mags.shape[-1]
-    base = None
-    reach, count = _reach(n_min, size)
-    scaled, shift = _scaled_squares(mags)
-    weights = np.empty(size)
-    terms, split = weights if mags.ndim == 1 else np.empty(mags.shape), None
-    last = len(indices) - 1
-    for position, t in enumerate(indices):
-        if not abs(t) <= _INDEX_MAX:
-            raise InvalidDataError(f"Sobolev index {t!r} is not finite or exceeds 2^53 in magnitude")
-        if t == 0:  # (1 + n^2)^0 is exactly 1
-            if position == last:
-                yield scaled, 2 * shift
-                return
-            np.copyto(terms, scaled)  # a later index reads scaled, and the caller may overwrite terms
-            yield terms, 2 * shift
-            continue
-        if base is None:
-            base = _weight_base(n_min, size)
-        if abs(t) * reach + count < _DIRECT_LOG2:
-            def run(lo, hi):  # base >= 1, finite weights, scaled <= 1: the product may only underflow
-                powers = np.power(base[lo:hi], t, out=weights[lo:hi])
-                np.multiply(powers, scaled[..., lo:hi], out=terms[..., lo:hi])
-
-            _split(run, size, size // _CHUNK, _ALIGN)
-            yield terms, 2 * shift
-            continue
-        if split is None:
-            split = (mb, eb), (squares, ec) = np.frexp(base), np.frexp(mags)
-            squares *= squares
-        whole = math.floor(t)
-        if abs(t) <= _MANTISSA_POW:
-            mant, expo = np.power(mb, t), eb * float(whole)
-        else:
-            expo = t * np.log2(mb)
-            low = np.floor(expo)
-            mant, expo = np.exp2(expo - low), low + eb * float(whole)
-        # 2^(eb t) = 2^(eb whole) (2^eb)^(t - whole), both from exact inputs
-        mant *= np.power(np.ldexp(1.0, eb), t - whole)
-        mant, grow = np.frexp(np.multiply(mant, squares, out=terms))
-        expo = expo + 2.0 * ec + grow
-        top = expo.max(axis=-1, where=mags > 0, initial=-2.0 ** 62, keepdims=True)
-        top += top % 2
-        np.ldexp(mant, np.clip(expo - top, -1100, 0).astype(np.intc), out=terms)
-        yield terms, top[..., 0]
+    if not abs(t) <= _INDEX_MAX:
+        raise InvalidDataError(f"Sobolev index {t!r} is not finite or exceeds 2^53 in magnitude")
+    reach, count = _reach(n_min, mags.shape[-1])
+    if abs(t) * reach + count < _DIRECT_LOG2:
+        terms, shift = _scaled_squares(mags)
+        if t:  # base >= 1, finite weights, scaled <= 1: the product may only underflow
+            terms *= np.power(_weight_base(n_min, mags.shape[-1]), t)
+        return terms, 2 * shift
+    (mb, eb), (squares, ec) = _log_split(mags, n_min) if split is None else split
+    whole = math.floor(t)
+    if abs(t) <= _MANTISSA_POW:
+        mant, expo = np.power(mb, t), eb * float(whole)
+    else:
+        expo = t * np.log2(mb)
+        low = np.floor(expo)
+        mant, expo = np.exp2(expo - low), low + eb * float(whole)
+    # 2^(eb t) = 2^(eb whole) (2^eb)^(t - whole), both from exact inputs
+    mant *= np.power(np.ldexp(1.0, eb), t - whole)
+    mant, grow = np.frexp(mant * squares)
+    expo = expo + 2.0 * ec + grow
+    top = expo.max(axis=-1, where=mags > 0, initial=-2.0 ** 62, keepdims=True)
+    top += top % 2
+    np.ldexp(mant, np.clip(expo - top, -1100, 0).astype(np.intc), out=mant)
+    return mant, top[..., 0]
 
 
 def _pairwise(leaf_value, lo: int, hi: int, leaf: int):
@@ -536,22 +511,36 @@ def _pairwise(leaf_value, lo: int, hi: int, leaf: int):
 
 
 def _level_sums(mags: np.ndarray, n_min: int, indices) -> list:
-    """[(terms.sum(), exponent)] per index of :func:`_weighted_squares`, bit for bit.
+    """[(terms.sum(axis=-1), exponent)] per index t of :func:`_weighted_squares`, bit for bit.
 
-    A 1-D row whose indices are all on the direct branch is cut at the
-    leaves of :func:`_pairwise`, and ranges of leaves go to :func:`_split`.
-    Each leaf forms its scaled squares and its 1 + n^2 once, then the power,
-    the product and the leaf's ``.sum()`` of every index in a leaf-sized
-    buffer, and the leaf sums are added in tree order: every bit on any
-    number of CPUs.  A block of rows or a log-domain index takes the
-    generator; a caller that traps underflow gets the leaves on its own
-    thread.
+    The direct indices of a 1-D row, a single one too, are summed on the
+    leaves of :func:`_leaf_sums`.  Every other index (a block of rows, or t
+    on the log-domain branch) calls the kernel, and the log-domain ones
+    share one :func:`_log_split`.
     """
-    size = mags.shape[-1]
-    reach, count = _reach(n_min, size)
+    reach, count = _reach(n_min, mags.shape[-1])
+    direct = [abs(t) * reach + count < _DIRECT_LOG2 for t in indices]
     # reach >= 1 unless the row is n = 0 alone, so |t| reach < 1000 also keeps t finite and within 2^53
-    if mags.ndim != 1 or not reach or not all(abs(t) * reach + count < _DIRECT_LOG2 for t in indices):
-        return [(terms.sum(), exponent) for terms, exponent in _weighted_squares(mags, n_min, indices)]
+    leafed = [t for t, near in zip(indices, direct) if near and reach and mags.ndim == 1]
+    sums = dict(zip(leafed, _leaf_sums(mags, n_min, leafed))) if leafed else {}
+    split = None if all(direct) else _log_split(mags, n_min)
+    for t in indices:
+        if t not in sums:
+            terms, exponent = _weighted_squares(mags, n_min, t, split)
+            sums[t] = terms.sum(axis=-1), exponent
+    return [sums[t] for t in indices]
+
+
+def _leaf_sums(mags: np.ndarray, n_min: int, indices) -> list:
+    """[(terms.sum(), exponent)] per direct index of a 1-D row, cut at the leaves of :func:`_pairwise`.
+
+    Ranges of leaves go to :func:`_split`.  Each leaf forms its scaled
+    squares and its 1 + n^2 once, then the power, the product and the
+    leaf's ``.sum()`` of every index in a leaf-sized buffer, and the leaf
+    sums are added in tree order: every bit on any number of CPUs.  A
+    caller that traps underflow gets every leaf on its own thread.
+    """
+    size = mags.size
     shift = math.frexp(mags.max(initial=0.0))[1]
     leaves, sums = _pairwise(lambda lo, hi: [(lo, hi)], 0, size, _LEAF), {}
 
@@ -583,8 +572,8 @@ def _norm_parts(mags: np.ndarray, n_min: int, index: float):
     Rows of a block get one root and one k each, bit-identical to their
     one-row results.
     """
-    terms, exponent = next(_weighted_squares(mags, n_min, (index,)))
-    return np.sqrt(terms.sum(axis=-1)), exponent // 2
+    (total, exponent), = _level_sums(mags, n_min, (index,))
+    return np.sqrt(total), exponent // 2
 
 
 def sobolev_norm(f: BoundaryDistribution, index: float) -> float:

@@ -499,7 +499,7 @@ def _assert_within_ulps(terms, exponent, mags, n_min, t, ulps):
 def test_weighted_squares_match_a_50_digit_reference(t, n_min, size):
     rng = np.random.default_rng(size)
     mags = np.abs(rng.standard_normal(size)) * 10.0 ** rng.integers(-5, 6, size)
-    terms, exponent = next(spectral._weighted_squares(mags, n_min, (t,)))
+    terms, exponent = spectral._weighted_squares(mags, n_min, t)
     assert int(exponent) % 2 == 0
     _assert_within_ulps(terms, exponent, mags, n_min, t, 4)
 
@@ -509,7 +509,7 @@ def test_weighted_squares_keep_a_tiny_coefficient_under_a_heavy_weight():
     # Scaling by max |c| alone would square c_64 to 2.5e-321, a subnormal.
     mags = np.zeros(65)
     mags[0], mags[64] = 1.0, 1e-160
-    terms, exponent = next(spectral._weighted_squares(mags, 0, (150.0,)))
+    terms, exponent = spectral._weighted_squares(mags, 0, 150.0)
     _assert_within_ulps(terms, exponent, mags, 0, 150.0, 4)
     assert 736 < math.log2(np.sum(terms)) + int(exponent) < 738
 
@@ -518,36 +518,34 @@ def test_weighted_squares_keep_a_tiny_coefficient_under_a_heavy_weight():
 def test_weighted_squares_beyond_the_mantissa_power_range(t):
     # the mantissa power is taken in the log domain there, good to about |t| ulps
     mags = np.abs(np.random.default_rng(3).standard_normal(40))
-    terms, exponent = next(spectral._weighted_squares(mags, -20, (t,)))
+    terms, exponent = spectral._weighted_squares(mags, -20, t)
     _assert_within_ulps(terms, exponent, mags, -20, t, 2 * abs(t))
 
 
 def test_weighted_squares_evaluate_rows_and_levels_independently():
     rng = np.random.default_rng(8)
     block = np.abs(rng.standard_normal((3, 50))) * np.array([[1e-200], [1.0], [1e200]])
-    levels = (-300.0, 2.0, 300.0)
-    for t, (terms, exponents) in zip(levels, spectral._weighted_squares(block, -5, levels)):
+    for t in (-300.0, 2.0, 300.0):
+        terms, exponents = spectral._weighted_squares(block, -5, t)
         for row, got, exponent in zip(block, terms, exponents):
-            alone, alone_exponent = next(spectral._weighted_squares(row, -5, (t,)))
+            alone, alone_exponent = spectral._weighted_squares(row, -5, t)
             assert got.tobytes() == alone.tobytes() and exponent == alone_exponent
 
 
 @pytest.mark.parametrize("rows", [(), (3,)])
 def test_weighted_squares_at_index_zero_between_other_indices(rows):
-    # index 0 skips the weights, and as the last index also the copy; every
-    # index equals its own single-index call, also after the caller
-    # overwrites the buffer it was handed
+    # in one grid, index 0 is summed from the scaled squares themselves, and
+    # every level, the log-domain one too, equals its own one-level sum
     rng = np.random.default_rng(13)
     mags = np.abs(rng.standard_normal(rows + (33,))) * 10.0 ** rng.integers(-3, 4, rows + (33,))
-    n = np.arange(-16, 17, dtype=float)
-    levels = (0.0, 1.5, 0.0, -2.0, 0.0)
-    for t, (terms, exponents) in zip(levels, spectral._weighted_squares(mags, -16, levels)):
-        alone, alone_exponents = next(spectral._weighted_squares(mags, -16, (t,)))
-        assert terms.tobytes() == alone.tobytes() and np.array_equal(exponents, alone_exponents)
+    levels = (0.0, 1.5, 0.0, 200.0, 0.0, -2.0, 0.0)
+    for t, (total, exponents) in zip(levels, spectral._level_sums(mags, -16, levels)):
+        (alone, alone_exponents), = spectral._level_sums(mags, -16, (t,))
+        assert np.asarray(total).tobytes() == np.asarray(alone).tobytes()
+        assert np.array_equal(exponents, alone_exponents)
         if t == 0:
             shift = np.asarray(exponents)[..., None] // 2
-            assert terms.tobytes() == (np.power(1.0 + n * n, t) * np.ldexp(mags, -shift) ** 2).tobytes()
-        terms[...] = np.nan
+            assert np.asarray(total).tobytes() == (np.ldexp(mags, -shift) ** 2).sum(axis=-1).tobytes()
 
 
 @pytest.mark.filterwarnings("error")
@@ -564,38 +562,42 @@ def test_sobolev_index_out_of_range_is_refused(index):
 
 
 # ---------------------------------------------------------------- split passes
-# A direct pass over at least 2 * _CHUNK weights runs in chunks on several
+# One norm over more than _LEAF weights is summed in leaves on several
 # threads.  Its bits must be the serial ones, on every SIMD dispatch.
 
-_SPLIT_MIN = 2 * spectral._CHUNK
-_SPLIT_SIZES = [_SPLIT_MIN - 1, _SPLIT_MIN, _SPLIT_MIN + 1, 3 * _SPLIT_MIN + 7, 2 ** 20 + 1]
+_SPLIT_SIZES = [2 ** 17 - 1, 2 ** 17, 2 ** 17 + 1, 3 * 2 ** 17 + 7, 2 ** 20 + 1]
 _SPLIT_INDICES = [-4.5, -0.5, 0.0, 2.5, 39.5]
 
 
 def _split_matches_serial(size, t, rows):
-    """The kernel's terms split across four CPUs, against the serial ones bit for bit.
+    """The norm of a row on one to four CPUs, or a block's terms, against the serial direct expression bit for bit.
 
     Each row's largest magnitude lies in [1/2, 1), so the kernel scales by
-    2^0 and its direct terms are np.power(1 + n^2, t) * mags^2 itself.  Where
-    those weights leave the float range the kernel's serial log-domain branch
-    runs instead, and the split run is compared with a one-CPU run.
+    2^0: its direct terms are np.power(1 + n^2, t) * mags^2 itself, and a
+    row's norm is the square root of their ``.sum()``.  Where those weights
+    leave the float range the log-domain branch runs instead: the norms on
+    two to four CPUs are compared with the one-CPU norm, and a block's terms
+    with each row's own.
     """
     rng = np.random.default_rng(size)
     mags = rng.random(rows + (size,)) * 0.5
     mags[..., ::3] *= 1e-160  # squares and terms in the subnormal range
     mags[..., 0] = 0.75
-    cpus = spectral._cpus
+    n = np.arange(size, dtype=float)
+    direct = abs(t) * math.log2(1 + (size - 1) ** 2) + math.log2(size) < spectral._DIRECT_LOG2
+    serial = np.power(1 + n * n, t) * (mags * mags) if direct else None
+    if rows:
+        if serial is None:
+            serial = np.array([spectral._weighted_squares(row, 0, t)[0] for row in mags])
+        return spectral._weighted_squares(mags, 0, t)[0].tobytes() == serial.tobytes()
+    cpus, norms = spectral._cpus, []
     try:
-        spectral._cpus = lambda: 4
-        split, _ = next(spectral._weighted_squares(mags, 0, (t,)))
-        spectral._cpus = lambda: 1
-        serial, _ = next(spectral._weighted_squares(mags, 0, (t,)))
+        for count in (1, 2, 3, 4):
+            spectral._cpus = lambda: count
+            norms.append(spectral.sobolev_norm(spectral.BoundaryDistribution(0, mags), t).hex())
     finally:
         spectral._cpus = cpus
-    if abs(t) * math.log2(1 + (size - 1) ** 2) + math.log2(size) < spectral._DIRECT_LOG2:
-        n = np.arange(size, dtype=float)
-        serial = np.power(1 + n * n, t) * (mags * mags)
-    return np.array_equal(split.view(np.int64), serial.view(np.int64))
+    return norms == [math.sqrt(serial.sum()).hex() if direct else norms[0]] * 4
 
 
 @pytest.mark.parametrize("rows", [(), (2,)], ids=["row", "block"])
@@ -626,11 +628,11 @@ def test_split_passes_are_serial_bit_for_bit_without_avx512():
     assert _python(code, NPY_DISABLE_CPU_FEATURES=_NO_AVX512) == "[]\n"
 
 
-def test_a_norm_below_the_split_size_starts_no_thread(monkeypatch):
+def test_a_one_leaf_norm_starts_no_pool(monkeypatch):
     monkeypatch.setattr(spectral, "_cpus", lambda: 4)
     monkeypatch.setattr(spectral, "_pool", None)
     threads = threading.active_count()
-    for size in (2 ** 16 + 1, _SPLIT_MIN - 1):
+    for size in (33, spectral._LEAF):
         sobolev_norm(BoundaryDistribution(0, np.ones(size)), 1.5)
     assert spectral._pool is None and threading.active_count() == threads
 
@@ -640,12 +642,14 @@ def test_importing_the_cli_does_not_import_concurrent_futures():
 
 
 def test_a_caller_that_traps_underflow_gets_the_serial_pass(monkeypatch):
-    # the product underflows only in the last chunk, which a worker would take
+    # the product underflows only in the last leaf, which a worker would take
     monkeypatch.setattr(spectral, "_cpus", lambda: 4)
-    mags = np.full(2 ** 18, 0.5)
-    mags[-1] = 1e-150
+    monkeypatch.setattr(spectral, "_pool", None)
+    coeffs = np.full(2 ** 18, 0.5)
+    coeffs[-1] = 1e-150
     with np.errstate(under="raise"), pytest.raises(FloatingPointError):
-        next(spectral._weighted_squares(mags, 0, (-4.5,)))
+        sobolev_norm(BoundaryDistribution(0, coeffs), -4.5)
+    assert spectral._pool is None
 
 
 def test_concurrent_callers_share_one_pool_and_keep_the_serial_bits(monkeypatch):
@@ -663,7 +667,7 @@ def test_concurrent_callers_share_one_pool_and_keep_the_serial_bits(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountedPool)
     monkeypatch.setattr(spectral, "_cpus", lambda: 3)
     monkeypatch.setattr(spectral, "_pool", None)
-    f = BoundaryDistribution(0, np.random.default_rng(6).standard_normal(_SPLIT_MIN + 129))
+    f = BoundaryDistribution(0, np.random.default_rng(6).standard_normal(2 ** 17 + 129))
     n = f.frequencies.astype(float)
     expected = float(np.sqrt(np.sum(np.power(1.0 + n * n, -1.5) * np.abs(f.coeffs) ** 2)))
     results, start = [], threading.Barrier(6)
@@ -711,7 +715,8 @@ def test_a_forked_child_splits_on_a_fresh_pool(monkeypatch):
 
 # ---------------------------------------------------------------- level sums
 # Direct levels of one row are summed leaf by leaf along numpy's pairwise
-# tree, ranges of leaves on several threads.  Every sum must be the generator's.
+# tree, ranges of leaves on several threads.  Every sum must be the kernel's
+# level by level.
 
 _LEVEL_SIZES = [2 ** 14 + 1, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 2 ** 16 + 1, 2 ** 17 + 1, 2 ** 18 + 1,
                 2 ** 19 - 1, 2 ** 19, 2 ** 19 + 1, 2 ** 20 + 1]
@@ -741,58 +746,84 @@ def _as_bits(sums):
 
 @pytest.fixture(scope="module")
 def serial_level_sums():
-    cache, generator = {}, spectral._weighted_squares  # the real one, whatever a test patches in
+    cache, kernel = {}, spectral._weighted_squares  # the real one, whatever a test patches in
 
     def get(size, grid):
         if (size, grid) not in cache:
-            cpus = spectral._cpus
-            try:
-                spectral._cpus = lambda: 1
-                cache[size, grid] = _as_bits([(terms.sum(), e) for terms, e in
-                                              generator(_level_row(size), 0, grid)])
-            finally:
-                spectral._cpus = cpus
+            levels = (kernel(_level_row(size), 0, t) for t in grid)
+            cache[size, grid] = _as_bits([(terms.sum(), e) for terms, e in levels])
         return cache[size, grid]
 
     return get
 
 
+def _counted(monkeypatch, name):
+    """Patch spectral's function ``name`` to record its third argument per call."""
+    function, calls = getattr(spectral, name), []
+
+    def counted(*args):
+        calls.append(args[2])
+        return function(*args)
+
+    monkeypatch.setattr(spectral, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("grid", _LEVEL_GRIDS, ids=list(_LEVEL_GRIDS))
 @pytest.mark.parametrize("size", _LEVEL_SIZES)
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
-def test_level_sums_are_the_generators_bit_for_bit(monkeypatch, serial_level_sums, cpus, size, grid):
-    generator, calls = spectral._weighted_squares, []
-
-    def counted(*args):
-        calls.append(args)
-        return generator(*args)
-
+def test_level_sums_are_the_kernels_bit_for_bit(monkeypatch, serial_level_sums, cpus, size, grid):
     monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
-    monkeypatch.setattr(spectral, "_weighted_squares", counted)
+    calls = _counted(monkeypatch, "_weighted_squares")
     bits, exponents = _as_bits(spectral._level_sums(_level_row(size), 0, _LEVEL_GRIDS[grid]))
     expected_bits, expected_exponents = serial_level_sums(size, _LEVEL_GRIDS[grid])
     assert np.array_equal(bits, expected_bits) and exponents == expected_exponents
-    assert bool(calls) == (not _all_direct(size, _LEVEL_GRIDS[grid]))
+    assert calls == [t for t in _LEVEL_GRIDS[grid] if not _all_direct(size, (t,))]
 
 
-def test_one_level_takes_the_generator(monkeypatch):
-    # one level is summed leaf by leaf as well, with the generator's bits
+@pytest.mark.parametrize("size", [2 ** 14 + 1, 2 ** 16 + 1, 2 ** 20 + 1])
+def test_log_domain_levels_take_the_kernel_once_each_on_one_split(monkeypatch, serial_level_sums, size):
+    # the direct levels come from the leaves, each log-domain level from one
+    # kernel call; two of them in either order give the same bytes, so the
+    # mantissa/exponent split they share is only read
+    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
+    kernel_calls, leaf_calls = _counted(monkeypatch, "_weighted_squares"), _counted(monkeypatch, "_leaf_sums")
+    mags, grid = _level_row(size), _LEVEL_GRIDS["one-log-domain"]
+    (bits, exponents), (expected_bits, expected_exponents) = (
+        _as_bits(spectral._level_sums(mags, 0, grid)), serial_level_sums(size, grid))
+    assert np.array_equal(bits, expected_bits) and exponents == expected_exponents
+    assert kernel_calls == [39.5] and leaf_calls == [[-4.5, 2.5]]
+    kernel_calls.clear()
+    first = dict(zip((39.5, -4.5, -41.5), spectral._level_sums(mags, 0, (39.5, -4.5, -41.5))))
+    second = dict(zip((-41.5, -4.5, 39.5), spectral._level_sums(mags, 0, (-41.5, -4.5, 39.5))))
+    assert kernel_calls == [39.5, -41.5, -41.5, 39.5]
+    for t in first:
+        (total, exponent), (again, again_exponent) = first[t], second[t]
+        assert total.tobytes() == again.tobytes() and exponent == again_exponent
+        terms, alone_exponent = spectral._weighted_squares(mags, 0, t)
+        assert total.tobytes() == terms.sum().tobytes() and exponent == alone_exponent
+
+
+def test_one_level_is_summed_on_the_leaves(monkeypatch):
+    # one level is summed leaf by leaf as well, with the kernel's bits
     monkeypatch.setattr(spectral, "_cpus", lambda: 4)
+    leaf_calls = _counted(monkeypatch, "_leaf_sums")
     mags = _level_row(2 ** 16 + 1)
     (total, exponent), = spectral._level_sums(mags, 0, (-0.5,))
-    terms, expected_exponent = next(spectral._weighted_squares(mags, 0, (-0.5,)))
+    terms, expected_exponent = spectral._weighted_squares(mags, 0, -0.5)
     assert total.tobytes() == terms.sum().tobytes() and exponent == expected_exponent
+    assert leaf_calls == [[-0.5]]
 
 
-def test_level_sums_are_the_generators_bit_for_bit_without_avx512():
-    # leaves against the generator inside that process; its bytes may differ from these
+def test_level_sums_are_the_kernels_bit_for_bit_without_avx512():
+    # leaves against the kernel inside that process; its bytes may differ from these
     code = "\n".join(["import numpy as np", "from diskdual import spectral", inspect.getsource(_level_row),
                       "spectral._cpus = lambda: 2",
                       f"grid = {_LEVEL_GRIDS['default']!r}",
                       "def same(size):",
                       "    sums = [total for total, _ in spectral._level_sums(_level_row(size), 0, grid)]",
-                      "    terms = spectral._weighted_squares(_level_row(size), 0, grid)",
-                      "    return np.array(sums).tobytes() == np.array([t.sum() for t, _ in terms]).tobytes()",
+                      "    levels = [spectral._weighted_squares(_level_row(size), 0, t)[0] for t in grid]",
+                      "    return np.array(sums).tobytes() == np.array([terms.sum() for terms in levels]).tobytes()",
                       "print([size for size in (2 ** 14 + 1, 2 ** 15 + 1, 2 ** 20 + 1) if not same(size)])"])
     assert _python(code, NPY_DISABLE_CPU_FEATURES=_NO_AVX512) == "[]\n"
 
@@ -827,7 +858,7 @@ def test_leaf_sums_added_in_tree_order_are_numpys_sum(seed, size, leaf):
 
 
 def test_a_caller_that_traps_underflow_sums_levels_serially(monkeypatch):
-    # the products underflow; the caller gets the generator's error and no pool starts
+    # the products underflow; the caller gets the leaves' error and no pool starts
     monkeypatch.setattr(spectral, "_cpus", lambda: 4)
     monkeypatch.setattr(spectral, "_pool", None)
     mags = np.full(2 ** 16, 0.5)
@@ -888,7 +919,7 @@ def test_a_forked_child_sums_levels_on_a_fresh_pool(monkeypatch):
 
 
 # ---------------------------------------------------------------- one handoff
-# Chunks, levels and probe draws reach the pool through spectral._split alone.
+# Leaves, transform passes and probe draws reach the pool through spectral._split alone.
 
 def test_every_pool_job_is_submitted_by_the_one_helper(monkeypatch):
     from diskdual import duality, growth
@@ -909,7 +940,7 @@ def test_every_pool_job_is_submitted_by_the_one_helper(monkeypatch):
     monkeypatch.setattr(spectral, "_cpus", lambda: 4)
     monkeypatch.setattr(spectral, "_split_pool", lambda cpus: Recording(split_pool(cpus)))
     u = growth.growth_family_coeffs(growth.GrowthFamilySpec(1.0, 1.25, 2 ** 16))
-    for call in (lambda: sobolev_norm(BoundaryDistribution(0, np.ones(2 ** 18)), 1.5),  # chunks
+    for call in (lambda: sobolev_norm(BoundaryDistribution(0, np.ones(2 ** 18)), 1.5),  # one norm's leaves
                  lambda: growth.estimate_min_sobolev(u, range(-4, 4)),  # levels
                  lambda: duality.verify_duality_isomorphism(0, 7, 1024, 9)):  # probe draws
         before = len(submitters)
