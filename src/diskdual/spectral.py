@@ -16,13 +16,14 @@ The circle is positively (counterclockwise) oriented and i = +sqrt(-1).
 All containers are immutable after construction and every function here is
 pure (the one shared state is a thread pool, started on the first large
 transform, weighted square sum or probe draw), so concurrent use needs no
-locking.  One helper, :func:`_split`, hands work to the pool: the row and the
-column passes of a Fourier transform of at least 2^18 points
-(:func:`_four_step`), ranges of the leaves of a weighted square sum over one
-row (:func:`_leaf_sums`) and ranges of the duality suite's probe draws.  A
-sum is cut only at subtrees of numpy's own pairwise summation, whose sums are
-added back in its order, so the norms' bits are the serial ones; a split
-transform's bits are its own, the same on any number of CPUs.
+locking.  One helper, :func:`_split`, hands work to the pool: the row
+transforms of a Fourier transform of at least 2^18 points, straight into its
+result, and its cache-sized column blocks (:func:`_four_step`, which
+allocates no scratch grid), ranges of the leaves of a weighted square sum
+over one row (:func:`_leaf_sums`) and ranges of the duality suite's probe
+draws.  A sum is cut only at subtrees of numpy's own pairwise summation,
+whose sums are added back in its order, so the norms' bits are the serial
+ones; a split transform's bits are its own, the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -270,23 +271,19 @@ def _fold(f: BoundaryDistribution, rows: np.ndarray, first: int, step: int) -> n
 # J. Supercomputing 4, 1990; Van Loan, Computational Frameworks for the FFT,
 # SIAM 1992, section 3.3), because one long np.fft call is cache-bound: on a
 # 2-CPU Xeon 2^20 points took 21 ms as one transform, 4.0 ms as 1024 x 1024
-# row transforms.  Its rows go first, so each thread writes whole rows of a
-# scratch, then whole column ranges of the result: no two threads write one
-# cache line, at r = 2 (an even M with an odd cofactor) too.  Synthesis folds
-# each range of rows on its thread; rows read from one folded grid took every
-# r-th point, 1.07-1.10 of the radix-2 halves' time at r = 2.  The scratch
-# rows are padded past c, so a power-of-two c does not map a column onto one
-# cache set (2-5% at 2^18 and 2^20 points), and column ranges start at
-# multiples of _ALIGN elements.  r = 2^9 was within 8% of the fastest
-# r = 2 .. 2^11 at 2^18, 2^20 and 2^21 points.  The values agree
-# with numpy's to about 6e-16 of the largest magnitude (1.4e-15 where
-# pocketfft takes the row length by Bluestein's algorithm) but are not its
-# bits; the bits depend on M alone, not on the CPU count.  Smaller
-# transforms, the pinned round trip's 2^17-point synthesis among them, keep
-# numpy's bits.  Every M-point buffer is allocated on the calling thread
-# (worker-allocated buffers raised the oracle benchmark's peak RSS from 249
-# to 285 MB), and numpy >= 2 transforms into it through ``out=``.
-_FFT_SPLIT, _FFT_ROWS, _ALIGN = 2 ** 18, 2 ** 9, 64
+# row transforms.  Its one M-point array is the caller's result: rows
+# transform straight into it, then blocks of columns are twiddled into a
+# per-thread buffer of about _FFT_BLOCK_BYTES and transformed back (np.fft
+# in place copies a column operand whole, a row operand not at all).  No two
+# threads write one cache line, and blocks start at column 0 on any split,
+# so the bits depend on M alone.  For r = 2 and 4, 2^17 bytes took 1.04-1.12
+# of the time of the four-step with a scratch grid that came before, 2^18 ..
+# 2^20 bytes 0.90-1.01 (2-CPU Xeon, medians of 31 interleaved calls).  r = 2^9
+# was within 8% of the fastest r = 2 .. 2^11 at 2^18 .. 2^21 points.  The values
+# agree with numpy's to about 7.5e-16 of max|X| (1.4e-15 where pocketfft
+# takes the row length by Bluestein's algorithm); smaller transforms, the
+# pinned round trip's 2^17-point synthesis among them, keep numpy's bits.
+_FFT_SPLIT, _FFT_ROWS, _ALIGN, _FFT_BLOCK_BYTES = 2 ** 18, 2 ** 9, 64, 2 ** 19
 _FFT_OUT = int(np.__version__.split(".")[0]) >= 2
 
 
@@ -303,50 +300,59 @@ def _four_step(rows_of, out: np.ndarray, sign: int, shift: int) -> None:
 
     M is out.size.  With j = n1 + r n2 and i = k1 + c k2, rows_of(rows,
     first, r) returns x[n1::r] for n1 = first .. first + len(rows) - 1, as a
-    view of the input or written into ``rows``, the scratch rows that take
-    their transforms.  Row n1 of an (r, p) scratch is the transform of
-    x[n1::r] times exp(sign 2 pi i n1 (k1 - shift) / M), and the columns of
-    ``out`` are the transforms of its first c columns.  ``shift`` is a
-    multiple of c, so it only rotates the rows of ``out``.  A row's factors
-    are outer[k1 // w] inner[k1 % w], from two tables of about sqrt(c)
-    entries; the row pitch p is the next multiple of w above c, so one
-    contiguous pass per table covers the rows.
+    view of the input or written into ``rows``, the rows of out's (r, c) view
+    that take their transforms in place.  Each block of columns kb .. kb + w
+    is multiplied into a per-thread buffer by exp(sign 2 pi i n1 (k1 - shift)
+    / M), a table over (n1, k1 - kb) times one factor a row, and its column
+    transforms go back into the block.  ``shift`` is a multiple of c, so it
+    only rotates the rows of ``out``.
     """
     m, transform = out.size, np.fft.fft if sign < 0 else np.fft.ifft
     r = min(m & -m, _FFT_ROWS)
     c = m // r
-    width = 1 << (c.bit_length() // 2)
-    pitch, step = (c // width + 1) * width, sign * 2j * math.pi / m
-    z, table = np.empty((r, pitch), dtype=complex), out.reshape(r, c)
-    z[:, c:] = 0  # the padding is twiddled too
-    # np.fft takes length-2 columns one at a time, at three times the cost of a
-    # butterfly, which does not scale: analysis's 1/2 goes on the rows instead
-    scale = 0.5 if r == 2 and sign < 0 else 1.0
+    w = max(_ALIGN, _FFT_BLOCK_BYTES // (16 * r) // _ALIGN * _ALIGN)
+    q = 1 << (w.bit_length() // 2)
+    step, table, n1 = sign * 2j * math.pi / m, out.reshape(r, c), np.arange(1, r)
+    # length-2 and length-4 columns are butterflies, which do not scale: analysis's 1/r goes on the twiddles
+    scale = 1 / r if r <= 4 and sign < 0 else 1.0
 
-    def factors(ks, k1):  # exp(step e), e = n1 k1 reduced exactly to [-M/2, M/2)
-        return np.exp(step * ((np.multiply.outer(ks, k1) + m // 2) % m - m // 2))
+    def factors(k1):  # exp(step e) for rows 1 .., e = n1 k1 reduced exactly to [-M/2, M/2)
+        return np.exp(step * ((np.multiply.outer(n1, k1) + m // 2) % m - m // 2))
+
+    # scale exp(step n1 k), k = 0 .. w - 1 and on to a multiple of q, from q + w / q exponentials a row
+    inner = (scale * factors(np.arange(0, w, q))[:, :, None] * factors(np.arange(q))[:, None, :]).reshape(r - 1, -1)
 
     def rows(lo, hi):
         with np.errstate(over="ignore", invalid="ignore"):
-            _fft_into(transform, rows_of(z[lo:hi, :c], lo, r), z[lo:hi, :c], 1)
-            if lo == 0 and scale != 1.0:
-                z[0] *= scale
-            lo = max(lo, 1)  # row 0's factors are all 1
-            ks = np.arange(lo, hi)
-            body = z[lo:hi].reshape(hi - lo, pitch // width, width)
-            body *= factors(ks, np.arange(0, pitch, width) - shift)[:, :, None]
-            body *= scale * factors(ks, np.arange(width))[:, None, :]
+            _fft_into(transform, rows_of(table[lo:hi], lo, r), table[lo:hi], 1)
 
     def columns(lo, hi):
+        buf = np.empty((r, w), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            if r > 2:
-                _fft_into(transform, z[:, lo:hi], table[:, lo:hi], 0)
-            else:
-                np.add(z[0, lo:hi], z[1, lo:hi], out=table[0, lo:hi])
-                np.subtract(z[0, lo:hi], z[1, lo:hi], out=table[1, lo:hi])
+            for kb in range(lo, hi, w):
+                block = table[:, kb: kb + w]
+                z = buf[:, : block.shape[1]]
+                np.multiply(block[1:], inner[:, : z.shape[1]], out=z[1:])  # row 0's factors are all 1
+                z[1:] *= factors([kb - shift])
+                if r > 4:
+                    z[0] = block[0]
+                    _fft_into(transform, z, block, 0)
+                    continue
+                if scale != 1.0:
+                    block[0] *= scale
+                if r == 4:  # a radix-2 stage: row 0 +- z[2], then z[1] + z[3] and sign i (z[1] - z[3])
+                    np.subtract(block[0], z[2], out=block[2])
+                    block[0] += z[2]
+                    np.subtract(z[1], z[3], out=block[3])
+                    block[3] *= sign * 1j
+                    z[1] += z[3]
+                    np.add(block[2], block[3], out=block[1])
+                    np.subtract(block[2], block[3], out=block[3])
+                np.subtract(block[0], z[1], out=block[r // 2])
+                block[0] += z[1]
 
     _split(rows, r, r)
-    _split(columns, c, c, _ALIGN)
+    _split(columns, c, c, w)
 
 
 # Limits of _weighted_squares; past _MANTISSA_POW in |t| its mantissa power
@@ -410,7 +416,7 @@ def _split(run, size: int, most: int, align: int = 1) -> None:
     if parts < 2 or np.geterr()["under"] != "ignore":
         run(0, size)
         return
-    bounds = [size * k // parts // align * align for k in range(parts)] + [size]
+    bounds = [-(-size // align) * k // parts * align for k in range(parts)] + [size]
     pending = [_split_pool(cpus).submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
         run(bounds[0], bounds[1])

@@ -1184,12 +1184,13 @@ def test_the_fft_halves_reach_the_pool_through_the_one_helper(monkeypatch):
 
 # The four-step views M points as an (r, c) array, r the largest power of two
 # dividing M up to spectral._FFT_ROWS.  An even M with an odd cofactor has
-# r = 2: its length-2 columns are one butterfly.  2^9 * 3^6 has a row length
-# no twiddle table width divides, and 4 * 3^11 has r = 4.  2^18 + 2 has r = 2
-# and row length 3 * 43691, which pocketfft takes by Bluestein's algorithm:
-# there numpy's own transform is 0.86-1.19e-15 of max|X| off an
-# extended-precision one, so r = 2 is held to _FFT_TOL at 2 * 3^11 instead,
-# and 2^18 + 2 to its bytes and its memory.
+# r = 2 and 4 * 3^11 has r = 4: their length-2 and length-4 columns are
+# butterflies.  2^9 * 3^6 has a row length that is no multiple of the block
+# width, so its last block is narrower.  2^18 + 2 has r = 2 and row length
+# 3 * 43691, which pocketfft takes by Bluestein's algorithm: there numpy's
+# own transform is 0.86-1.19e-15 of max|X| off an extended-precision one, so
+# r = 2 is held to _FFT_TOL at 2 * 3^11 instead, and 2^18 + 2 to its bytes
+# and its memory.
 
 
 def test_four_step_synthesis_on_2_21_points_agrees_with_numpy():
@@ -1209,28 +1210,30 @@ def test_four_step_with_two_rows_agrees_with_numpy():
     assert _relative_error(fourier_synthesize(f, m), _numpy_synthesis(f, m)) <= _FFT_TOL
 
 
-@pytest.mark.parametrize("m", [2 ** 20, _FFT_SPLIT + 2, 2 ** 9 * 3 ** 6, 4 * 3 ** 11])
-def test_four_step_is_the_same_bytes_on_one_two_and_three_cpus(monkeypatch, m):
+@pytest.mark.parametrize("m", [2 ** 20, _FFT_SPLIT + 2, 2 ** 9 * 3 ** 6, 2 * 3 ** 11, 4 * 3 ** 11])
+def test_four_step_is_the_same_bytes_on_one_to_four_cpus(monkeypatch, m):
+    # 2 * 3^11 has eleven column blocks: three and four ranges divide them
+    # unevenly, so a block that straddled two ranges would change bytes
     runs = []
-    for cpus in (1, 2, 3):
+    for cpus in (1, 2, 3, 4):
         monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
         runs.append(_split_transform_bytes(m))
-    assert runs == [runs[0]] * 3
+    assert runs == [runs[0]] * 4
 
 
 @pytest.mark.skipif(not spectral._FFT_OUT, reason="numpy 1.x has no out=: each transform fills a fresh array")
 @pytest.mark.parametrize("m", [2 ** 20, _FFT_SPLIT + 2])
-def test_four_step_allocates_one_grid_beside_its_result(monkeypatch, m):
-    # analysis: its coefficients and one M-point scratch; synthesis on 2M, as
-    # in the round trip: its values and one 2M-point scratch, whose rows fold
-    # the window.  The slack holds the twiddle tables and the scratch's row
-    # padding, far below one more grid.
+def test_four_step_allocates_no_grid_beside_its_result(monkeypatch, m):
+    # analysis of M points peaks at its M + 1 coefficients, synthesis on 2M,
+    # as in the round trip, at its 2M values, whose rows fold the window.
+    # The slack holds the two threads' column-block buffers and the twiddle
+    # tables, about 2 MB here, below the smallest split grid (4 MiB).
     monkeypatch.setattr(spectral, "_cpus", lambda: 2)
     rng = np.random.default_rng(m)
     samples = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     f = BoundaryDistribution(-m // 2 + 1, samples[: m - 1])
     fourier_synthesize(fourier_analyze(samples), 2 * m)  # start the pool outside the trace
-    entry, slack = np.dtype(complex).itemsize, m // 4
+    entry, slack = np.dtype(complex).itemsize, 3 * 2 ** 20
     tracemalloc.start()
     try:
         coeffs = fourier_analyze(samples)
@@ -1241,8 +1244,8 @@ def test_four_step_allocates_one_grid_beside_its_result(monkeypatch, m):
         synthesis = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert analysis <= (2 * m + slack) * entry
-    assert synthesis <= (4 * m + slack) * entry
+    assert analysis <= m * entry + slack
+    assert synthesis <= 2 * m * entry + slack
 
 
 # ---------------------------------------------------------------- golden round trip
