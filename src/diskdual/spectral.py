@@ -274,16 +274,18 @@ def _fold(f: BoundaryDistribution, rows: np.ndarray, first: int, step: int) -> n
 # row transforms.  Its one M-point array is the caller's result: rows
 # transform straight into it, then blocks of columns are twiddled into a
 # per-thread buffer of about _FFT_BLOCK_BYTES and transformed back (np.fft
-# in place copies a column operand whole, a row operand not at all).  No two
-# threads write one cache line, and blocks start at column 0 on any split,
-# so the bits depend on M alone.  For r = 2 and 4, 2^17 bytes took 1.04-1.12
-# of the time of the four-step with a scratch grid that came before, 2^18 ..
-# 2^20 bytes 0.90-1.01 (2-CPU Xeon, medians of 31 interleaved calls).  r = 2^9
-# was within 8% of the fastest r = 2 .. 2^11 at 2^18 .. 2^21 points.  The values
+# in place copies a column operand whole, a row operand not at all).
+# Threads write disjoint rows, then disjoint blocks (where c is no multiple
+# of 4, two threads can share a cache line at a range boundary), and blocks start
+# at column 0 on any split, so the bits depend on M alone.  At the r = 2 and
+# r = 4 sizes of the tests, 2^17 bytes took 1.04-1.12 of the time of the
+# four-step with a scratch grid that came before, and 2^18 .. 2^21 bytes
+# 0.90-1.11, 2^19 about parity (2-CPU Xeon, interleaved calls).  r = 2^9 was
+# within 8% of the fastest r = 2 .. 2^11 at 2^18 .. 2^21 points.  The values
 # agree with numpy's to about 7.5e-16 of max|X| (1.4e-15 where pocketfft
 # takes the row length by Bluestein's algorithm); smaller transforms, the
 # pinned round trip's 2^17-point synthesis among them, keep numpy's bits.
-_FFT_SPLIT, _FFT_ROWS, _ALIGN, _FFT_BLOCK_BYTES = 2 ** 18, 2 ** 9, 64, 2 ** 19
+_FFT_SPLIT, _FFT_ROWS, _FFT_BLOCK_BYTES = 2 ** 18, 2 ** 9, 2 ** 19
 _FFT_OUT = int(np.__version__.split(".")[0]) >= 2
 
 
@@ -310,16 +312,15 @@ def _four_step(rows_of, out: np.ndarray, sign: int, shift: int) -> None:
     m, transform = out.size, np.fft.fft if sign < 0 else np.fft.ifft
     r = min(m & -m, _FFT_ROWS)
     c = m // r
-    w = max(_ALIGN, _FFT_BLOCK_BYTES // (16 * r) // _ALIGN * _ALIGN)
+    w = _FFT_BLOCK_BYTES // (16 * r)  # r is a power of two up to 2^9, so w is one of at least 64 and q divides it
     q = 1 << (w.bit_length() // 2)
     step, table, n1 = sign * 2j * math.pi / m, out.reshape(r, c), np.arange(1, r)
-    # length-2 and length-4 columns are butterflies, which do not scale: analysis's 1/r goes on the twiddles
-    scale = 1 / r if r <= 4 and sign < 0 else 1.0
+    scale = 0.5 if r == 2 and sign < 0 else 1.0  # r = 2's butterfly does not scale: analysis's 1/2 goes on the twiddles
 
     def factors(k1):  # exp(step e) for rows 1 .., e = n1 k1 reduced exactly to [-M/2, M/2)
         return np.exp(step * ((np.multiply.outer(n1, k1) + m // 2) % m - m // 2))
 
-    # scale exp(step n1 k), k = 0 .. w - 1 and on to a multiple of q, from q + w / q exponentials a row
+    # scale exp(step n1 k), k = 0 .. w - 1, from q + w / q exponentials a row
     inner = (scale * factors(np.arange(0, w, q))[:, :, None] * factors(np.arange(q))[:, None, :]).reshape(r - 1, -1)
 
     def rows(lo, hi):
@@ -334,22 +335,13 @@ def _four_step(rows_of, out: np.ndarray, sign: int, shift: int) -> None:
                 z = buf[:, : block.shape[1]]
                 np.multiply(block[1:], inner[:, : z.shape[1]], out=z[1:])  # row 0's factors are all 1
                 z[1:] *= factors([kb - shift])
-                if r > 4:
+                if r == 2:
+                    block[0] *= scale
+                    np.subtract(block[0], z[1], out=block[1])
+                    block[0] += z[1]
+                else:
                     z[0] = block[0]
                     _fft_into(transform, z, block, 0)
-                    continue
-                if scale != 1.0:
-                    block[0] *= scale
-                if r == 4:  # a radix-2 stage: row 0 +- z[2], then z[1] + z[3] and sign i (z[1] - z[3])
-                    np.subtract(block[0], z[2], out=block[2])
-                    block[0] += z[2]
-                    np.subtract(z[1], z[3], out=block[3])
-                    block[3] *= sign * 1j
-                    z[1] += z[3]
-                    np.add(block[2], block[3], out=block[1])
-                    np.subtract(block[2], block[3], out=block[3])
-                np.subtract(block[0], z[1], out=block[r // 2])
-                block[0] += z[1]
 
     _split(rows, r, r)
     _split(columns, c, c, w)

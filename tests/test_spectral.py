@@ -1184,9 +1184,9 @@ def test_the_fft_halves_reach_the_pool_through_the_one_helper(monkeypatch):
 
 # The four-step views M points as an (r, c) array, r the largest power of two
 # dividing M up to spectral._FFT_ROWS.  An even M with an odd cofactor has
-# r = 2 and 4 * 3^11 has r = 4: their length-2 and length-4 columns are
-# butterflies.  2^9 * 3^6 has a row length that is no multiple of the block
-# width, so its last block is narrower.  2^18 + 2 has r = 2 and row length
+# r = 2: its length-2 columns are one butterfly.  2^9 * 3^6 has a row length
+# that is no multiple of the block width, so its last block is narrower, and
+# 4 * 3^11 has r = 4.  2^18 + 2 has r = 2 and row length
 # 3 * 43691, which pocketfft takes by Bluestein's algorithm: there numpy's
 # own transform is 0.86-1.19e-15 of max|X| off an extended-precision one, so
 # r = 2 is held to _FFT_TOL at 2 * 3^11 instead, and 2^18 + 2 to its bytes
