@@ -16,7 +16,8 @@ how trials are scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+import sys
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -88,9 +89,11 @@ _DRAW_SPLIT_NORMALS = 2 ** 12
 
 
 def _integer_scale(s) -> int:
-    """The scale index s as an int; a float with a fractional part raises ValueError."""
+    """The scale index s as an int; a fractional float raises ValueError, an int past the floats InvalidDataError."""
     if isinstance(s, float) and not s.is_integer():
         raise ValueError("scale index must be an integer")
+    if abs(s) > sys.float_info.max:  # 1/2 - s must be a float
+        raise InvalidDataError(f"scale index s={s} exceeds the float range")
     return int(s)
 
 
@@ -203,7 +206,7 @@ def functional_norm_closed_form(functional: DualFunctional) -> float:
     (1 + (m-1)^2)^(1/2 - s).  A norm beyond the float range raises
     :class:`InvalidDataError`.
     """
-    root, scale = _norm_parts(np.abs(functional.v.coeffs), 0, 0.5 - functional.s)
+    (root, scale), = _norm_parts(np.abs(functional.v.coeffs), 0, (0.5 - functional.s,))
     return _scaled(root, scale, f"closed-form dual norm at s={functional.s}")
 
 
@@ -239,12 +242,15 @@ def _bruteforce_rows(b: np.ndarray, mags: np.ndarray, s: int, degree_cap: int, i
         for index in range(lo, hi):
             np.random.default_rng(seeds[index]).standard_normal(out=draws[index])
 
-    _split(draw, count, count if draws[0].size >= _DRAW_SPLIT_NORMALS else 1)
+    if draws[0].size >= _DRAW_SPLIT_NORMALS:
+        _split(draw, count)
+    else:
+        draw(0, count)
     probes[:, 1:].real = draws[:, :, 0]
     probes[:, 1:].imag = draws[:, :, 1]
     del draws  # freed before the probes are normed, where the peak lies
     _require_finite(probes, "probe coefficients")
-    roots, exponents = _norm_parts(np.abs(probes), 0, s - 0.5)
+    (roots, exponents), = _norm_parts(np.abs(probes), 0, (s - 0.5,))
     best_rows = []
     for rows, row_b, row_roots, row_exponents, shift in zip(
             probes, b, roots.tolist(), exponents.tolist(), shifts.tolist()):
@@ -315,8 +321,8 @@ def _dual_norm_parts(mags: np.ndarray, s: int) -> list[list]:
     # The trace holds b_m at frequency -m: each row reversed.  A block's terms
     # are summed from a fresh array the kernel writes, so the reversed view
     # rounds as a copy would.
-    dual = _norm_parts(mags, 0, 0.5 - s)
-    trace = _norm_parts(mags[:, ::-1], -mags.shape[1], 0.5 - s)
+    dual, = _norm_parts(mags, 0, (0.5 - s,))
+    trace, = _norm_parts(mags[:, ::-1], -mags.shape[1], (0.5 - s,))
     return [part.tolist() for part in (*dual, *trace)]
 
 
@@ -365,9 +371,6 @@ class TailCertificate:
     decay_ratio: float
     remainder_bound: float
     relative_remainder: float
-
-    def to_doc(self) -> dict:
-        return {name: float(value) for name, value in asdict(self).items()}
 
 
 def pairing_tail_certificate(
@@ -450,8 +453,8 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
     probes take one kernel pass each, while the library calls under test
     run per trial.  The report is bit-identical to a trial-by-trial run.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not 1 <= trials <= sys.maxsize:  # SeedSequence.spawn counts its children in a C ssize_t
+        raise ValueError(f"need 1 .. {sys.maxsize} trials, got {trials}")
     if degree_cap < 1:
         raise ValueError("need a positive probe degree")
     s = _integer_scale(s)
@@ -471,7 +474,7 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
         reps = np.array([v.coeffs for v, _, _, _ in drawn])
         mags = np.abs(reps)
         probes = np.array([probe.coeffs for _, _, probe, _ in drawn])
-        probe_roots, probe_scales = (part.tolist() for part in _norm_parts(np.abs(probes), 0, s - 0.5))
+        probe_roots, probe_scales = (part.tolist() for part in _norm_parts(np.abs(probes), 0, (s - 0.5,))[0])
         brute = _bruteforce_rows(reps, mags, s, degree_cap, _SUITE_ITERATIONS,
                                  [bf_seed for _, _, _, bf_seed in drawn], weights)
         for (v, w, probe, _), root, scale, denom, denom_scale, probe_root, probe_scale, bf in zip(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidDataError, TruncationError
 from .hardy import InteriorFunction, evaluate_interior
-from .spectral import _level_sums, _scaled, _scaled_squares
+from .spectral import _norm_parts, _scaled, _scaled_squares
 
 __all__ = [
     "GrowthFamilySpec",
@@ -121,9 +121,9 @@ def growth_family_coeffs(spec: GrowthFamilySpec) -> InteriorFunction:
     """Taylor coefficients of (1 - conj(z0) z)^(-gamma), truncated at spec.degree."""
     # a_n is the running product of the ratios (k + gamma) / (k + 1) conj(z0), k < n.
     n = spec.degree
-    ratios = np.arange(float(n))
+    ratios = np.arange(n, dtype=float)  # an n past the floats is too large, as an n past memory is
     ratios += spec.gamma
-    ratios /= np.arange(1.0, n + 1.0)
+    ratios /= np.arange(1, n + 1, dtype=float)
     a = np.empty(n + 1, dtype=complex)
     a[0] = 1.0
     np.multiply(ratios, np.conj(spec.z0), out=a[1:])
@@ -181,8 +181,7 @@ def estimate_min_sobolev(u: InteriorFunction, s_grid) -> ScaleEstimate:
         raise InvalidDataError(f"coefficient magnitudes up to {top:.3g} overflow when "
                                f"squared; scale placement needs |a_n| <= {_SQUARE_MAX:.3g}")
     # each norm equals sobolev_norm(trace_interior(u), s - 0.5) bit for bit
-    curve = tuple((s, _scaled(math.sqrt(total), int(exponent) // 2))
-                  for s, (total, exponent) in zip(grid, _level_sums(mags, 0, [k - 0.5 for k in grid])))
+    curve = tuple((s, _scaled(root, k)) for s, (root, k) in zip(grid, _norm_parts(mags, 0, [s - 0.5 for s in grid])))
     p, bar = _tail_exponent(mags)
     if p is None:
         return ScaleEstimate(None, "inconclusive", curve)

@@ -16,14 +16,16 @@ The circle is positively (counterclockwise) oriented and i = +sqrt(-1).
 All containers are immutable after construction and every function here is
 pure (the one shared state is a thread pool, started on the first large
 transform, weighted square sum or probe draw), so concurrent use needs no
-locking.  One helper, :func:`_split`, hands work to the pool: the row
-transforms of a Fourier transform of at least 2^18 points, straight into its
-result, and its cache-sized column blocks (:func:`_four_step`, which
-allocates no scratch grid), ranges of the leaves of a weighted square sum
-over one row (:func:`_leaf_sums`) and ranges of the duality suite's probe
-draws.  A sum is cut only at subtrees of numpy's own pairwise summation,
-whose sums are added back in its order, so the norms' bits are the serial
-ones; a split transform's bits are its own, the same on any number of CPUs.
+locking.  One helper, :func:`_split`, hands work to the pool, at most one
+range per CPU and per aligned block: the row transforms of a Fourier
+transform of at least 2^18 points, straight into its result, and its
+cache-sized column blocks (:func:`_four_step`, which allocates no scratch
+grid), ranges of the leaves of a weighted square sum over a row of more
+than _LEAF weights (:func:`_leaf_sums`) and ranges of the duality suite's
+large probe draws.  A sum is cut only at subtrees of numpy's own pairwise
+summation, whose sums are added back in its order, so the norms' bits are
+the serial ones; a split transform's bits are its own, the same on any
+number of CPUs.
 """
 
 from __future__ import annotations
@@ -277,11 +279,11 @@ def _fold(f: BoundaryDistribution, rows: np.ndarray, first: int, step: int) -> n
 # in place copies a column operand whole, a row operand not at all).
 # Threads write disjoint rows, then disjoint blocks (where c is no multiple
 # of 4, two threads can share a cache line at a range boundary), and blocks start
-# at column 0 on any split, so the bits depend on M alone.  At the r = 2 and
-# r = 4 sizes of the tests, 2^17 bytes took 1.04-1.12 of the time of the
-# four-step with a scratch grid that came before, and 2^18 .. 2^21 bytes
-# 0.90-1.11, 2^19 about parity (2-CPU Xeon, interleaved calls).  r = 2^9 was
-# within 8% of the fastest r = 2 .. 2^11 at 2^18 .. 2^21 points.  The values
+# at column 0 on any split, so the bits depend on M alone.  2^19-byte blocks
+# took about the time of the scratch grid that came before, and r = 2^9 was
+# within 8% of the fastest r = 2 .. 2^11 at 2^18 .. 2^21 points (2-CPU Xeon).
+# r = 2's columns take np.fft too: the bytes of an add/subtract butterfly, at
+# 1.1-1.4 times its time (an odd cofactor, which no workload has).  The values
 # agree with numpy's to about 7.5e-16 of max|X| (1.4e-15 where pocketfft
 # takes the row length by Bluestein's algorithm); smaller transforms, the
 # pinned round trip's 2^17-point synthesis among them, keep numpy's bits.
@@ -315,13 +317,12 @@ def _four_step(rows_of, out: np.ndarray, sign: int, shift: int) -> None:
     w = _FFT_BLOCK_BYTES // (16 * r)  # r is a power of two up to 2^9, so w is one of at least 64 and q divides it
     q = 1 << (w.bit_length() // 2)
     step, table, n1 = sign * 2j * math.pi / m, out.reshape(r, c), np.arange(1, r)
-    scale = 0.5 if r == 2 and sign < 0 else 1.0  # r = 2's butterfly does not scale: analysis's 1/2 goes on the twiddles
 
     def factors(k1):  # exp(step e) for rows 1 .., e = n1 k1 reduced exactly to [-M/2, M/2)
         return np.exp(step * ((np.multiply.outer(n1, k1) + m // 2) % m - m // 2))
 
-    # scale exp(step n1 k), k = 0 .. w - 1, from q + w / q exponentials a row
-    inner = (scale * factors(np.arange(0, w, q))[:, :, None] * factors(np.arange(q))[:, None, :]).reshape(r - 1, -1)
+    # exp(step n1 k), k = 0 .. w - 1, from q + w / q exponentials a row
+    inner = (factors(np.arange(0, w, q))[:, :, None] * factors(np.arange(q))[:, None, :]).reshape(r - 1, -1)
 
     def rows(lo, hi):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -335,16 +336,11 @@ def _four_step(rows_of, out: np.ndarray, sign: int, shift: int) -> None:
                 z = buf[:, : block.shape[1]]
                 np.multiply(block[1:], inner[:, : z.shape[1]], out=z[1:])  # row 0's factors are all 1
                 z[1:] *= factors([kb - shift])
-                if r == 2:
-                    block[0] *= scale
-                    np.subtract(block[0], z[1], out=block[1])
-                    block[0] += z[1]
-                else:
-                    z[0] = block[0]
-                    _fft_into(transform, z, block, 0)
+                z[0] = block[0]
+                _fft_into(transform, z, block, 0)
 
-    _split(rows, r, r)
-    _split(columns, c, c, w)
+    _split(rows, r)
+    _split(columns, c, w)
 
 
 # Limits of _weighted_squares; past _MANTISSA_POW in |t| its mantissa power
@@ -392,8 +388,8 @@ def _split_pool(cpus: int):
         return _pool
 
 
-def _split(run, size: int, most: int, align: int = 1) -> None:
-    """run(lo, hi) over up to min(most, CPUs) contiguous ranges of 0 .. size, the first on the caller.
+def _split(run, size: int, align: int = 1) -> None:
+    """run(lo, hi) over up to min(ceil(size / align), CPUs) contiguous ranges of 0 .. size, the first on the caller.
 
     Range bounds are multiples of ``align``, and the call returns only once
     every range is done, also when the caller's own range raises.  One part,
@@ -403,12 +399,12 @@ def _split(run, size: int, most: int, align: int = 1) -> None:
     underflow unless it sets its own.  ``run`` must not submit to the pool
     itself, so concurrent callers cannot deadlock on it.
     """
-    cpus = _cpus() if most > 1 else 1
-    parts = min(most, cpus)
+    cpus, blocks = _cpus(), -(-size // align)
+    parts = min(blocks, cpus)
     if parts < 2 or np.geterr()["under"] != "ignore":
         run(0, size)
         return
-    bounds = [-(-size // align) * k // parts * align for k in range(parts)] + [size]
+    bounds = [blocks * k // parts * align for k in range(parts)] + [size]
     pending = [_split_pool(cpus).submit(run, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
         run(bounds[0], bounds[1])
@@ -511,15 +507,14 @@ def _pairwise(leaf_value, lo: int, hi: int, leaf: int):
 def _level_sums(mags: np.ndarray, n_min: int, indices) -> list:
     """[(terms.sum(axis=-1), exponent)] per index t of :func:`_weighted_squares`, bit for bit.
 
-    The direct indices of a 1-D row, a single one too, are summed on the
-    leaves of :func:`_leaf_sums`.  Every other index (a block of rows, or t
-    on the log-domain branch) calls the kernel, and the log-domain ones
-    share one :func:`_log_split`.
+    The direct indices of a 1-D row of more than _LEAF weights, a single one
+    too, are summed on the leaves of :func:`_leaf_sums`.  Every other index
+    (a one-leaf row, a block of rows, or t on the log-domain branch) calls
+    the kernel, and the log-domain ones share one :func:`_log_split`.
     """
     reach, count = _reach(n_min, mags.shape[-1])
     direct = [abs(t) * reach + count < _DIRECT_LOG2 for t in indices]
-    # reach >= 1 unless the row is n = 0 alone, so |t| reach < 1000 also keeps t finite and within 2^53
-    leafed = [t for t, near in zip(indices, direct) if near and reach and mags.ndim == 1]
+    leafed = [t for t, near in zip(indices, direct) if near and mags.ndim == 1 and mags.size > _LEAF]
     sums = dict(zip(leafed, _leaf_sums(mags, n_min, leafed))) if leafed else {}
     split = None if all(direct) else _log_split(mags, n_min)
     for t in indices:
@@ -550,7 +545,7 @@ def _leaf_sums(mags: np.ndarray, n_min: int, indices) -> list:
             sums[lo] = np.array([(np.multiply(np.power(base, t, out=terms), scaled, out=terms) if t else scaled).sum()
                                  for t in indices])
 
-    _split(run, len(leaves), len(leaves))
+    _split(run, len(leaves))
     return [(total, 2 * shift) for total in _pairwise(lambda lo, hi: sums[lo], 0, size, _LEAF)]
 
 
@@ -564,14 +559,13 @@ def _scaled(value: float, exponent, what: str | None = None) -> float:
         raise InvalidDataError(f"{what} exceeds the float range") from None
 
 
-def _norm_parts(mags: np.ndarray, n_min: int, index: float):
-    """(root, k) with ( sum_n (1 + n^2)^index mags_n^2 )^(1/2) = root * 2^k along the last axis.
+def _norm_parts(mags: np.ndarray, n_min: int, indices) -> list:
+    """[(root, k)] per index t, with ( sum_n (1 + n^2)^t mags_n^2 )^(1/2) = root * 2^k along the last axis.
 
     Rows of a block get one root and one k each, bit-identical to their
     one-row results.
     """
-    (total, exponent), = _level_sums(mags, n_min, (index,))
-    return np.sqrt(total), exponent // 2
+    return [(np.sqrt(total), exponent // 2) for total, exponent in _level_sums(mags, n_min, indices)]
 
 
 def sobolev_norm(f: BoundaryDistribution, index: float) -> float:
@@ -584,7 +578,7 @@ def sobolev_norm(f: BoundaryDistribution, index: float) -> float:
     :class:`InvalidDataError`.
     """
     index = float(index)
-    root, scale = _norm_parts(np.abs(f.coeffs), f.n_min, index)
+    (root, scale), = _norm_parts(np.abs(f.coeffs), f.n_min, (index,))
     return _scaled(root, scale, f"Sobolev norm of index {index}")
 
 

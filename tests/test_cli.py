@@ -421,6 +421,20 @@ def test_size_too_large_to_allocate_is_one_line(argv):
     assert "allocate" in lines[0]
 
 
+# An integer past the floats or past a C ssize_t ends in one line, not an
+# OverflowError traceback: an index that cannot be a float is a numerical
+# error, a count or size that cannot be held a plain one.
+@pytest.mark.parametrize("argv, expected_code, start", [
+    ("dualize --w {w} --s " + "1" * 401, 3, "numerical validity error: scale index s=111"),
+    ("verify --suite duality --trials 100000000000000000000 --N 4 --seed 1", 1, "error: need 1 .. "),
+    ("growth --gamma 2 --N " + "1" * 401, 1, "error: "),
+], ids=["dualize-s", "verify-trials", "growth-N"])
+def test_integers_past_a_float_or_a_c_size_are_one_line(u_file, argv, expected_code, start):
+    code, out, lines, caught = _run_quietly(argv.format(w=u_file).split())
+    assert (code, out, caught) == (expected_code, "", [])
+    assert len(lines) == 1 and lines[0].startswith(start), lines
+
+
 # s = -206 leaves the float range in some of the 16 trials only, s = -1000 in all
 @pytest.mark.parametrize("s, trials", [(-206, 16), (-1000, 3)])
 def test_duality_norm_overflow_in_any_trial_is_one_line(s, trials):

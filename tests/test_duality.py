@@ -599,8 +599,8 @@ def test_trace_ratio_equals_the_one_norm_at_a_time_ratio(b, s):
     # the ratio as formed from two separate norm computations on the containers
     v = ExteriorFunction(b, 1 - s)
     trace = trace_exterior(v)
-    denom, denom_scale = spectral._norm_parts(np.abs(trace.coeffs), trace.n_min, 0.5 - s)
-    root, scale = spectral._norm_parts(np.abs(v.coeffs), 0, 0.5 - s)
+    (denom, denom_scale), = spectral._norm_parts(np.abs(trace.coeffs), trace.n_min, (0.5 - s,))
+    (root, scale), = spectral._norm_parts(np.abs(v.coeffs), 0, (0.5 - s,))
     expected = None if denom == 0.0 else math.ldexp(root / denom, int(scale - denom_scale))
     assert dual_norm_trace_ratio(v, s) == expected
 

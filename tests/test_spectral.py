@@ -629,12 +629,14 @@ def test_split_passes_are_serial_bit_for_bit_without_avx512():
 
 
 def test_a_one_leaf_norm_starts_no_pool(monkeypatch):
+    # a row of at most _LEAF weights is summed by the kernel, not on leaves
     monkeypatch.setattr(spectral, "_cpus", lambda: 4)
     monkeypatch.setattr(spectral, "_pool", None)
+    leaf_calls = _counted(monkeypatch, "_leaf_sums")
     threads = threading.active_count()
     for size in (33, spectral._LEAF):
         sobolev_norm(BoundaryDistribution(0, np.ones(size)), 1.5)
-    assert spectral._pool is None and threading.active_count() == threads
+    assert spectral._pool is None and threading.active_count() == threads and leaf_calls == []
 
 
 def test_importing_the_cli_does_not_import_concurrent_futures():
@@ -773,30 +775,33 @@ def _counted(monkeypatch, name):
 @pytest.mark.parametrize("size", _LEVEL_SIZES)
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_level_sums_are_the_kernels_bit_for_bit(monkeypatch, serial_level_sums, cpus, size, grid):
+    # a row of more than _LEAF weights takes its direct levels from the leaves
     monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
     calls = _counted(monkeypatch, "_weighted_squares")
     bits, exponents = _as_bits(spectral._level_sums(_level_row(size), 0, _LEVEL_GRIDS[grid]))
     expected_bits, expected_exponents = serial_level_sums(size, _LEVEL_GRIDS[grid])
     assert np.array_equal(bits, expected_bits) and exponents == expected_exponents
-    assert calls == [t for t in _LEVEL_GRIDS[grid] if not _all_direct(size, (t,))]
+    leafed = size > spectral._LEAF
+    assert calls == [t for t in _LEVEL_GRIDS[grid] if not (leafed and _all_direct(size, (t,)))]
 
 
 @pytest.mark.parametrize("size", [2 ** 14 + 1, 2 ** 16 + 1, 2 ** 20 + 1])
 def test_log_domain_levels_take_the_kernel_once_each_on_one_split(monkeypatch, serial_level_sums, size):
-    # the direct levels come from the leaves, each log-domain level from one
-    # kernel call; two of them in either order give the same bytes, so the
-    # mantissa/exponent split they share is only read
+    # past _LEAF weights the direct levels come from the leaves, each
+    # log-domain level from one kernel call; a one-leaf row takes every level
+    # from the kernel.  Two log-domain levels in either order give the same
+    # bytes, so the mantissa/exponent split they share is only read
     monkeypatch.setattr(spectral, "_cpus", lambda: 2)
     kernel_calls, leaf_calls = _counted(monkeypatch, "_weighted_squares"), _counted(monkeypatch, "_leaf_sums")
-    mags, grid = _level_row(size), _LEVEL_GRIDS["one-log-domain"]
+    mags, grid, leafed = _level_row(size), _LEVEL_GRIDS["one-log-domain"], size > spectral._LEAF
     (bits, exponents), (expected_bits, expected_exponents) = (
         _as_bits(spectral._level_sums(mags, 0, grid)), serial_level_sums(size, grid))
     assert np.array_equal(bits, expected_bits) and exponents == expected_exponents
-    assert kernel_calls == [39.5] and leaf_calls == [[-4.5, 2.5]]
+    assert (kernel_calls, leaf_calls) == (([39.5], [[-4.5, 2.5]]) if leafed else (list(grid), []))
     kernel_calls.clear()
     first = dict(zip((39.5, -4.5, -41.5), spectral._level_sums(mags, 0, (39.5, -4.5, -41.5))))
     second = dict(zip((-41.5, -4.5, 39.5), spectral._level_sums(mags, 0, (-41.5, -4.5, 39.5))))
-    assert kernel_calls == [39.5, -41.5, -41.5, 39.5]
+    assert kernel_calls == ([39.5, -41.5, -41.5, 39.5] if leafed else [39.5, -4.5, -41.5, -41.5, -4.5, 39.5])
     for t in first:
         (total, exponent), (again, again_exponent) = first[t], second[t]
         assert total.tobytes() == again.tobytes() and exponent == again_exponent
@@ -831,9 +836,10 @@ def test_level_sums_are_the_kernels_bit_for_bit_without_avx512():
 def test_a_one_leaf_row_starts_no_pool(monkeypatch):
     monkeypatch.setattr(spectral, "_cpus", lambda: 4)
     monkeypatch.setattr(spectral, "_pool", None)
+    leaf_calls = _counted(monkeypatch, "_leaf_sums")
     threads = threading.active_count()
     spectral._level_sums(_level_row(spectral._LEAF), 0, _LEVEL_GRIDS["default"])
-    assert spectral._pool is None and threading.active_count() == threads
+    assert spectral._pool is None and threading.active_count() == threads and leaf_calls == []
 
 
 def _tree_data(seed, size):
@@ -967,7 +973,7 @@ def _random_distribution(seed, n_min, size):
 
 def _log2_norm(f, index):
     """log2 of the Sobolev norm of index ``index``, -inf for zero data."""
-    root, k = spectral._norm_parts(np.abs(f.coeffs), f.n_min, index)
+    (root, k), = spectral._norm_parts(np.abs(f.coeffs), f.n_min, (index,))
     if root == 0.0:
         return -math.inf
     mags = np.abs(f.coeffs)
@@ -1184,7 +1190,8 @@ def test_the_fft_halves_reach_the_pool_through_the_one_helper(monkeypatch):
 
 # The four-step views M points as an (r, c) array, r the largest power of two
 # dividing M up to spectral._FFT_ROWS.  An even M with an odd cofactor has
-# r = 2: its length-2 columns are one butterfly.  2^9 * 3^6 has a row length
+# r = 2, whose length-2 columns go through np.fft like every r's (see
+# FOUR_STEP_GOLDEN).  2^9 * 3^6 has a row length
 # that is no multiple of the block width, so its last block is narrower, and
 # 4 * 3^11 has r = 4.  2^18 + 2 has r = 2 and row length
 # 3 * 43691, which pocketfft takes by Bluestein's algorithm: there numpy's
@@ -1219,6 +1226,21 @@ def test_four_step_is_the_same_bytes_on_one_to_four_cpus(monkeypatch, m):
         monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
         runs.append(_split_transform_bytes(m))
     assert runs == [runs[0]] * 4
+
+
+# sha256 of _split_transform_bytes, taken while r = 2's columns still went
+# through an add/subtract butterfly: np.fft's length-2 pass is that add and
+# subtract, and analysis's factor 1/2 is exact, so every byte stays.
+FOUR_STEP_GOLDEN = {
+    2 * 3 ** 11: "076d7aee23ff3978bf684181252afb0b1bcd4b3d2527acd0bff2cd6b731d1d77",  # r = 2
+    _FFT_SPLIT + 6: "7811a5897a09569b9242616da5b2b18b3cbeea29a356f392a2f05f034d698f78",  # r = 2
+    _FFT_SPLIT: "1a4db7321039236cdfe5925a1862c796dc2695b718ed217f94ddb06623c831af",  # r = 2^9
+}
+
+
+@pytest.mark.parametrize("m", sorted(FOUR_STEP_GOLDEN))
+def test_four_step_is_byte_identical_to_the_golden_digest(m):
+    assert hashlib.sha256(_split_transform_bytes(m)).hexdigest() == FOUR_STEP_GOLDEN[m]
 
 
 @pytest.mark.skipif(not spectral._FFT_OUT, reason="numpy 1.x has no out=: each transform fills a fresh array")
