@@ -4,7 +4,9 @@ The trapezoid rule on a uniform parameter grid is spectrally accurate for
 smooth periodic integrands, which makes it the independent cross-check for
 every spectral identity in the package.  Near-curve evaluation is refused
 outright instead of regularized: the Cauchy kernel quadrature keeps its
-advertised accuracy only when dist(z, curve) > 10 * arc_length / M.
+advertised accuracy only when dist(z, curve) > 10 * arc_length / M.  A point
+that far outside the curve's annulus lo <= |zeta| <= hi needs no distance
+search.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ _SCALAR = SimpleNamespace(exp=cmath.exp, cos=math.cos, sin=math.sin)
 # |zeta'| * _NEWTON_TOL.  arc_length is the trapezoid rule on the same nodes.
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-13
+# _annulus widens the exact bounds of |zeta| by this relative amount, and
+# cauchy_integral_quadrature |z| too, so that rounding in the nodes, in |z|
+# and in |zeta - z| cannot take a point it certifies to within the bound.
+_ANNULUS_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -180,6 +186,20 @@ class CurveDescriptor:
             theta = step
         return best
 
+    def _annulus(self) -> tuple[float, float]:
+        """(lo, hi) with lo <= |zeta(theta)| <= hi for every theta, widened by _ANNULUS_SLACK.
+
+        The exact bounds are r and r, min(p, q) and max(p, q), and 1 - eps
+        and 1 + eps, each attained; so dist(0, curve) = lo before widening.
+        """
+        if self.kind == "circle":
+            lo = hi = self.params[0]
+        elif self.kind == "ellipse":
+            lo, hi = min(self.params), max(self.params)
+        else:
+            lo, hi = 1.0 - self.params[0], 1.0 + self.params[0]
+        return lo * (1.0 - _ANNULUS_SLACK), hi * (1.0 + _ANNULUS_SLACK)
+
     def is_unit_circle(self) -> bool:
         return self.kind == "circle" and self.params[0] == 1.0 and self.orientation == 1
 
@@ -241,10 +261,12 @@ def _trapezoid(vals: np.ndarray, curve: CurveDescriptor, grid: QuadratureGrid) -
     """contour_integral of a complex array, under the caller's np.errstate ignoring over and invalid."""
     if vals.shape != (grid.m,):
         raise ValueError(f"expected {grid.m} node values, got shape {vals.shape}")
-    if not np.isfinite(vals).all():
-        raise InvalidDataError("contour integrand contains non-finite node values")
     total = complex(grid.weight * (vals * _node_geometry(curve, grid)[1]).sum())
+    # A non-finite value times zeta' is never finite (inf * 0 is NaN), so a
+    # finite sum certifies every value; only a failed sum scans them.
     if not cmath.isfinite(total):
+        if not np.isfinite(vals).all():
+            raise InvalidDataError("contour integrand contains non-finite node values")
         raise InvalidDataError("contour integral exceeds the float range")
     return total
 
@@ -256,19 +278,27 @@ def cauchy_integral_quadrature(
 
     Refuses z closer to the curve than 10 * arc_length / M, the distance at
     which the rule still delivers the advertised accuracy on smooth data.
+    The curve lies in the annulus lo <= |zeta| <= hi (:meth:`CurveDescriptor._annulus`),
+    so dist(z, curve) >= max(lo - |z|, |z| - hi); only a z for which that
+    certificate does not exceed the bound is measured by
+    :meth:`CurveDescriptor.distance_to`, and refused when its distance does not.
     """
     z = complex(z)
     bound = PROXIMITY_FACTOR * curve.arc_length() / grid.m
-    dist = curve.distance_to(z)
-    if dist <= bound:
-        raise BoundaryProximityError(
-            f"z at distance {dist:.6g} from the curve; M={grid.m} quadrature needs "
-            f"distance > {bound:.6g} (= {PROXIMITY_FACTOR:g} * arc_length / M)"
-        )
+    lo, hi = curve._annulus()
+    size = abs(z)
+    if not max(lo - size * (1.0 + _ANNULUS_SLACK), size * (1.0 - _ANNULUS_SLACK) - hi) > bound:
+        dist = curve.distance_to(z)
+        if dist <= bound:
+            raise BoundaryProximityError(
+                f"z at distance {dist:.6g} from the curve; M={grid.m} quadrature needs "
+                f"distance > {bound:.6g} (= {PROXIMITY_FACTOR:g} * arc_length / M)"
+            )
     vals = np.asarray(values, dtype=complex)
     zeta = _node_geometry(curve, grid)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _trapezoid
-        return _trapezoid(vals / (zeta - z), curve, grid) / (2j * np.pi)
+        gaps = zeta - z
+        return _trapezoid(np.divide(vals, gaps, out=gaps), curve, grid) / (2j * np.pi)
 
 
 def pairing_quadrature(

@@ -458,7 +458,7 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
     if degree_cap < 1:
         raise ValueError("need a positive probe degree")
     s = _integer_scale(s)
-    children = np.random.SeedSequence(seed).spawn(trials)
+    seeds = np.random.SeedSequence(seed)  # spawned a block at a time: the same children, in order
     lower, upper = norm_ratio_bounds(s)
 
     degenerate_skipped = 0
@@ -470,7 +470,7 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
     inj_err = sur_err = ratio_max = continuity = bf_dev = norm_max = sur_terms_max = 0.0
     ratio_min = np.inf
     for start in range(0, trials, per_block):
-        drawn = [_draw_trial(child, s, degree_cap) for child in children[start:start + per_block]]
+        drawn = [_draw_trial(child, s, degree_cap) for child in seeds.spawn(min(per_block, trials - start))]
         reps = np.array([v.coeffs for v, _, _, _ in drawn])
         mags = np.abs(reps)
         probes = np.array([probe.coeffs for _, _, probe, _ in drawn])

@@ -480,10 +480,13 @@ def _weighted_squares(mags: np.ndarray, n_min: int, t: float, split=None):
     # 2^(eb t) = 2^(eb whole) (2^eb)^(t - whole), both from exact inputs
     mant *= np.power(np.ldexp(1.0, eb), t - whole)
     mant, grow = np.frexp(mant * squares)
-    expo = expo + 2.0 * ec + grow
-    top = expo.max(axis=-1, where=mags > 0, initial=-2.0 ** 62, keepdims=True)
+    total = 2.0 * ec  # the shape of mags, which expo lacks for a block of rows; in place from here
+    total += expo
+    total += grow
+    top = total.max(axis=-1, where=mags > 0, initial=-2.0 ** 62, keepdims=True)
     top += top % 2
-    np.ldexp(mant, np.clip(expo - top, -1100, 0).astype(np.intc), out=mant)
+    total -= top
+    np.ldexp(mant, np.clip(total, -1100, 0, out=total).astype(np.intc), out=mant)
     return mant, top[..., 0]
 
 

@@ -1,9 +1,12 @@
 """Contour quadrature: residues, Cauchy kernel, pairings, convergence."""
 
+import cmath
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diskdual import (
     BoundaryDistribution,
@@ -393,3 +396,118 @@ def test_products_beyond_the_float_range_are_refused_without_warnings():
         curves.contour_integral(np.full(grid.m, 1e308 + 0j), curve, grid)
     with pytest.raises(InvalidDataError, match="contour integrand contains non-finite node values"):
         curves.cauchy_integral_quadrature(np.full(grid.m, 1e308 + 0j), small, grid, 0j)
+
+
+# ---------------------------------------------------------------- annulus certificate
+
+_ANNULUS_CURVES = ("circle:1", "circle:1e-300", "ellipse:1.5,0.7", "ellipse:1e300,1",
+                   "perturbed-circle:0.1,5", "perturbed-circle:0.999999999,3")
+
+
+def _exact_annulus(curve):
+    """min and max of |zeta| on the curve, before any widening."""
+    p = curve.params
+    return {"circle": (p[0], p[0]), "ellipse": (min(p), max(p)),
+            "perturbed-circle": (1.0 - p[0], 1.0 + p[0])}[curve.kind]
+
+
+def _searched_cauchy(values, curve, grid, z):
+    """cauchy_integral_quadrature as it was before the annulus certificate.
+
+    It measures every z by distance_to and scans the quotients before the
+    sum.  Returns the value, or the (error type, message) it would raise.
+    """
+    bound = curves.PROXIMITY_FACTOR * curve.arc_length() / grid.m
+    dist = curve.distance_to(z)
+    if dist <= bound:
+        return BoundaryProximityError, (
+            f"z at distance {dist:.6g} from the curve; M={grid.m} quadrature needs "
+            f"distance > {bound:.6g} (= {curves.PROXIMITY_FACTOR:g} * arc_length / M)")
+    zeta, dzeta = curves._node_geometry(curve, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(values, dtype=complex) / (zeta - z)
+        if not np.isfinite(vals).all():
+            return InvalidDataError, "contour integrand contains non-finite node values"
+        total = complex(grid.weight * (vals * dzeta).sum())
+    if not cmath.isfinite(total):
+        return InvalidDataError, "contour integral exceeds the float range"
+    return total / (2j * np.pi)
+
+
+@settings(deadline=None, max_examples=60)
+@given(text=st.sampled_from(_ANNULUS_CURVES), orientation=st.sampled_from((1, -1)),
+       log_m=st.integers(4, 18), where=st.sampled_from(("inside", "outside", "far")),
+       factor=st.floats(0.5, 2.0), angle=st.floats(0.0, 2 * np.pi), seed=st.integers(0, 2 ** 32 - 1))
+@example(text="circle:1", orientation=1, log_m=6, where="outside", factor=1.0, angle=0.0, seed=0)
+@example(text="ellipse:1e300,1", orientation=-1, log_m=4, where="outside", factor=1.0,
+         angle=0.0, seed=1)
+@example(text="perturbed-circle:0.999999999,3", orientation=1, log_m=18, where="inside",
+         factor=0.5, angle=0.0, seed=2)
+@example(text="circle:1e-300", orientation=-1, log_m=18, where="far", factor=2.0, angle=1.0, seed=3)
+def test_the_annulus_certificate_changes_no_refusal_and_no_bit(text, orientation, log_m, where,
+                                                                factor, angle, seed):
+    curve = CurveDescriptor.parse(text)
+    curve = curve if orientation > 0 else curve.reversed()
+    grid = QuadratureGrid(2 ** log_m)
+    bound = curves.PROXIMITY_FACTOR * curve.arc_length() / grid.m
+    lo, hi = _exact_annulus(curve)
+    radius = {"inside": lo - factor * bound, "outside": hi + factor * bound,
+              "far": 1e3 * factor * (hi + bound)}[where]
+    z = radius * cmath.exp(1j * angle)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)
+    expected = _searched_cauchy(values, curve, grid, z)
+    if isinstance(expected, tuple):
+        with pytest.raises(expected[0]) as refused:
+            cauchy_integral_quadrature(values, curve, grid, z)
+        assert str(refused.value) == expected[1]
+    else:
+        got = cauchy_integral_quadrature(values, curve, grid, z)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+    wide_lo, wide_hi = curve._annulus()
+    assert wide_lo <= lo and hi <= wide_hi
+    for nodes in (grid, curves._SAMPLE_GRID):
+        size = np.abs(curves._node_geometry(curve, nodes)[0])
+        assert wide_lo <= size.min() and size.max() <= wide_hi
+
+
+def test_a_point_the_annulus_certifies_takes_no_distance_search(monkeypatch):
+    def refuse(self, z):
+        raise AssertionError("distance_to was called for a certified point")
+
+    grid = QuadratureGrid(1024)
+    certified = ((CIRCLE, 3.0), (CIRCLE, 0.5j), (ELLIPSE, 0.05), (ELLIPSE, -2.0 + 1j), (WOBBLE, 2.0 + 1j))
+    expected = [_searched_cauchy(np.ones(grid.m), curve, grid, z) for curve, z in certified]
+    monkeypatch.setattr(CurveDescriptor, "distance_to", refuse)
+    for (curve, z), value in zip(certified, expected):
+        assert cauchy_integral_quadrature(np.ones(grid.m), curve, grid, z) == value
+    with pytest.raises(AssertionError, match="certified point"):
+        cauchy_integral_quadrature(np.ones(grid.m), CIRCLE, grid, 0.95)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(np.nan, 1.0)],
+                         ids=["nan", "inf", "imaginary-inf", "real-nan"])
+def test_every_entry_point_names_non_finite_node_values(bad):
+    grid = QuadratureGrid(1024)
+    vals, ones = np.ones(grid.m, dtype=complex), np.ones(grid.m, dtype=complex)
+    vals[17] = bad
+    for integrate in (lambda: contour_integral(vals, ELLIPSE, grid),
+                      lambda: cauchy_integral_quadrature(vals, ELLIPSE, grid, 5.0),
+                      lambda: cauchy_integral_quadrature(vals, ELLIPSE, grid, 0.0),
+                      lambda: pairing_quadrature(vals, ones, ELLIPSE, grid),
+                      lambda: pairing_quadrature(ones, vals, ELLIPSE, grid)):
+        with pytest.raises(InvalidDataError, match="^contour integrand contains non-finite node values$"):
+            integrate()
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_entry_point_names_a_sum_past_the_float_range():
+    # Each term is about 1e308 i, finite, and all add with one sign.
+    grid = QuadratureGrid(64)
+    zeta = CIRCLE.point(grid.nodes)
+    for integrate in (lambda: contour_integral(1e308 / zeta, CIRCLE, grid),
+                      lambda: cauchy_integral_quadrature(np.full(grid.m, 1e308), CIRCLE, grid, 0.0),
+                      lambda: pairing_quadrature(np.full(grid.m, 1e154), 1e154 / zeta, CIRCLE, grid)):
+        with pytest.raises(InvalidDataError, match="^contour integral exceeds the float range$"):
+            integrate()

@@ -334,6 +334,34 @@ def test_duality_suite_reports_spanning_many_blocks_are_unchanged(s, n, trials, 
         _MULTI_BLOCK_DIGESTS[s, n, trials, seed]
 
 
+def test_seed_children_are_spawned_one_block_at_a_time(monkeypatch):
+    # The root's children are spawned per block, so a large --trials holds one
+    # block of them; they must be the children one spawn(trials) gives, in order.
+    spawned, seen = [], []
+
+    class Recording(np.random.SeedSequence):
+        def spawn(self, n_children):
+            spawned.append((self.spawn_key, n_children))
+            return super().spawn(n_children)
+
+    draw = duality._draw_trial
+
+    def recording_draw(child, *args):
+        seen.append((child.entropy, child.spawn_key))
+        return draw(child, *args)
+
+    n, trials, seed = 2048, 8, 5
+    per_block = duality._BLOCK_BYTES // (16 * (duality._SUITE_ITERATIONS + 1) * n)
+    assert 1 < per_block < trials and trials % per_block
+    expected = [(child.entropy, child.spawn_key) for child in np.random.SeedSequence(seed).spawn(trials)]
+    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    monkeypatch.setattr(duality, "_draw_trial", recording_draw)
+    verify_duality_isomorphism(0, trials, n, seed)
+    root_calls = [count for key, count in spawned if key == ()]
+    assert max(root_calls) <= per_block and sum(root_calls) == trials
+    assert seen == expected
+
+
 def test_scale_pairing_pinned_family_oracle():
     # a_n = n + 1 against b_m = 2^-m: closed forms
     #   total = sum_{k=1..64} k 2^-k            = 2 - 2^-64 * 2 * 66
