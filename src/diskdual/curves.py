@@ -254,13 +254,19 @@ def contour_integral(values, curve: CurveDescriptor, grid: QuadratureGrid) -> co
     zeta'(theta) d theta is supplied by the curve.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        return _trapezoid(np.asarray(values, dtype=complex), curve, grid)
+        return _trapezoid(_node_array(values, grid), curve, grid)
+
+
+def _node_array(values, grid: QuadratureGrid) -> np.ndarray:
+    """``values`` as a complex array of the grid's M node values; any other shape is refused."""
+    vals = np.asarray(values, dtype=complex)
+    if vals.shape != (grid.m,):
+        raise ValueError(f"expected {grid.m} node values, got shape {vals.shape}")
+    return vals
 
 
 def _trapezoid(vals: np.ndarray, curve: CurveDescriptor, grid: QuadratureGrid) -> complex:
-    """contour_integral of a complex array, under the caller's np.errstate ignoring over and invalid."""
-    if vals.shape != (grid.m,):
-        raise ValueError(f"expected {grid.m} node values, got shape {vals.shape}")
+    """contour_integral of M complex node values, under the caller's np.errstate ignoring over and invalid."""
     total = complex(grid.weight * (vals * _node_geometry(curve, grid)[1]).sum())
     # A non-finite value times zeta' is never finite (inf * 0 is NaN), so a
     # finite sum certifies every value; only a failed sum scans them.
@@ -294,7 +300,7 @@ def cauchy_integral_quadrature(
                 f"z at distance {dist:.6g} from the curve; M={grid.m} quadrature needs "
                 f"distance > {bound:.6g} (= {PROXIMITY_FACTOR:g} * arc_length / M)"
             )
-    vals = np.asarray(values, dtype=complex)
+    vals = _node_array(values, grid)
     zeta = _node_geometry(curve, grid)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _trapezoid
         gaps = zeta - z
@@ -305,8 +311,7 @@ def pairing_quadrature(
     u_values, v_values, curve: CurveDescriptor, grid: QuadratureGrid
 ) -> complex:
     """(1/(2 pi i)) contour integral of u v dzeta from node values of u and v."""
-    u_vals = np.asarray(u_values, dtype=complex)
-    v_vals = np.asarray(v_values, dtype=complex)
+    u_vals, v_vals = _node_array(u_values, grid), _node_array(v_values, grid)
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _trapezoid
         return _trapezoid(u_vals * v_vals, curve, grid) / (2j * np.pi)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidDataError, TruncationError
 from .hardy import InteriorFunction, evaluate_interior
-from .spectral import _norm_parts, _scaled, _scaled_squares
+from .spectral import _LEAF, _norm_parts, _scaled, _scaled_squares
 
 __all__ = [
     "GrowthFamilySpec",
@@ -118,15 +118,20 @@ class GrowthReport:
 
 
 def growth_family_coeffs(spec: GrowthFamilySpec) -> InteriorFunction:
-    """Taylor coefficients of (1 - conj(z0) z)^(-gamma), truncated at spec.degree."""
-    # a_n is the running product of the ratios (k + gamma) / (k + 1) conj(z0), k < n.
+    """Taylor coefficients of (1 - conj(z0) z)^(-gamma), truncated at spec.degree.
+
+    a_n is the running product of the ratios (k + gamma) / (k + 1) conj(z0),
+    k < n.  The ratios are formed _LEAF at a time straight into the result,
+    so the working set is the result and the container's validated copy: two
+    (N + 1)-point complex arrays, 32 MiB at N = 2^20.
+    """
     n = spec.degree
-    ratios = np.arange(n, dtype=float)  # an n past the floats is too large, as an n past memory is
-    ratios += spec.gamma
-    ratios /= np.arange(1, n + 1, dtype=float)
-    a = np.empty(n + 1, dtype=complex)
+    a = np.empty(n + 1, dtype=complex)  # an n past memory is refused here
     a[0] = 1.0
-    np.multiply(ratios, np.conj(spec.z0), out=a[1:])
+    zc = np.conj(spec.z0)
+    for lo in range(0, n, _LEAF):
+        hi = min(lo + _LEAF, n)
+        np.multiply((np.arange(lo, hi) + spec.gamma) / np.arange(lo + 1.0, hi + 1.0), zc, out=a[1 + lo: 1 + hi])
     # A product beyond the float range is reported once, by the container's
     # finiteness check.  Its copy stays: handing this array over uncopied was
     # measured to slow the placement that follows by more than the copy costs.

@@ -183,15 +183,6 @@ def hardy_projections(
             _wrap(ExteriorFunction, b, index=out_index))
 
 
-def _zero_extended(c: np.ndarray, size: int) -> np.ndarray:
-    """c followed by zeros up to ``size`` entries; c itself when it has that many."""
-    if c.size == size:
-        return c
-    out = np.zeros(size, dtype=complex)
-    out[: c.size] = c
-    return out
-
-
 def jump_residual(f: BoundaryDistribution) -> float:
     """L2 size of u|bd - v_plus|bd - f for the Hardy split of f.
 
@@ -199,16 +190,26 @@ def jump_residual(f: BoundaryDistribution) -> float:
     is exact in the coefficient representation.  The traces live on the
     disjoint sides n >= 0 and n < 0, so the residual is formed side by side
     against f's part there, with no zero-filled union window, and the two L2
-    sizes are combined.
+    sizes are combined.  Both sides are formed in turn in one buffer, so
+    besides the split's negated half the working set is one side and its
+    magnitudes.
     """
     u, v_plus = hardy_projections(f)
     a, b = u.coeffs, v_plus.coeffs
     # c_n for n = 0, 1, ... and for n = -1, -2, ..., each over the wider window
     upper = pad_or_truncate(f, 0, max(a.size - 1, f.n_max, 0)).coeffs
     lower = pad_or_truncate(f, min(-b.size, f.n_min, -1), -1).coeffs[::-1]
-    # the residual is a_n - c_n at n >= 0 and -(b_m + c_-m) at n = -m < 0
-    sides = (_zero_extended(a, upper.size) - upper, _zero_extended(b, lower.size) + lower)
-    return math.hypot(*(sobolev_norm(_wrap(BoundaryDistribution, side, n_min=0), 0.0) for side in sides))
+    buffer = np.empty(max(upper.size, lower.size), dtype=complex)
+    norms = []
+    # the residual is a_n - c_n at n >= 0 and -(b_m + c_-m) at n = -m < 0; only
+    # its magnitudes are normed, so past a's or b's end it is c.  Each side's
+    # container is dropped before the next side is written.
+    for x, c, combine in ((a, upper, np.subtract), (b, lower, np.add)):
+        side = buffer[: c.size]
+        combine(x, c[: x.size], out=side[: x.size])
+        side[x.size:] = c[x.size:]
+        norms.append(sobolev_norm(_wrap(BoundaryDistribution, side, n_min=0), 0.0))
+    return math.hypot(*norms)
 
 
 def evaluate_interior(u: InteriorFunction, z: complex) -> complex:

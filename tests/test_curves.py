@@ -2,6 +2,7 @@
 
 import cmath
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -510,4 +511,19 @@ def test_every_entry_point_names_a_sum_past_the_float_range():
                       lambda: cauchy_integral_quadrature(np.full(grid.m, 1e308), CIRCLE, grid, 0.0),
                       lambda: pairing_quadrature(np.full(grid.m, 1e154), 1e154 / zeta, CIRCLE, grid)):
         with pytest.raises(InvalidDataError, match="^contour integral exceeds the float range$"):
+            integrate()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", [(), (1,), (62,), (1, 64), (64, 64)], ids=["scalar", "one", "short", "row", "square"])
+def test_every_entry_point_refuses_mis_shaped_node_values(shape):
+    # a scalar or a length-1 array was once broadcast as a constant by the Cauchy and pairing integrals
+    grid = QuadratureGrid(64)
+    bad, ones = np.ones(shape, dtype=complex), np.ones(grid.m, dtype=complex)
+    for integrate in (lambda: contour_integral(bad, CIRCLE, grid),
+                      lambda: cauchy_integral_quadrature(bad, CIRCLE, grid, 3.0),
+                      lambda: cauchy_integral_quadrature(bad, CIRCLE, grid, 0.0),
+                      lambda: pairing_quadrature(bad, ones, CIRCLE, grid),
+                      lambda: pairing_quadrature(ones, bad, CIRCLE, grid)):
+        with pytest.raises(ValueError, match=rf"^expected 64 node values, got shape {re.escape(str(shape))}$"):
             integrate()

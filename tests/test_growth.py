@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -110,6 +111,40 @@ def _casting_divide_reference(spec):
 def test_family_is_byte_identical_to_the_casting_divide(z0, gamma, degree):
     spec = GrowthFamilySpec(z0, gamma, degree)
     assert growth_family_coeffs(spec).coeffs.tobytes() == _casting_divide_reference(spec).tobytes()
+
+
+def _one_shot_reference(spec):
+    """The running product with all n ratios formed in one whole-array pass, as before chunking."""
+    n = spec.degree
+    ratios = np.arange(n, dtype=float)
+    ratios += spec.gamma
+    ratios /= np.arange(1, n + 1, dtype=float)
+    a = np.empty(n + 1, dtype=complex)
+    a[0] = 1.0
+    np.multiply(ratios, np.conj(spec.z0), out=a[1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        a.cumprod(out=a)
+    return a
+
+
+# degrees on both sides of the 2^15-entry chunks the ratios are formed in
+_CHUNK_EDGES = [8, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1, 3 * 2 ** 15 + 7, 2 ** 18 + 3]
+
+
+@pytest.mark.parametrize("degree", _CHUNK_EDGES)
+@pytest.mark.parametrize("gamma", [0.5, 2.5, 40.0])
+@pytest.mark.parametrize("z0", [1.0, np.exp(0.7j), -1j])
+def test_chunked_ratios_are_the_one_shot_bytes(z0, gamma, degree):
+    spec = GrowthFamilySpec(z0, gamma, degree)
+    assert growth_family_coeffs(spec).coeffs.tobytes() == _one_shot_reference(spec).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("degree", _CHUNK_EDGES[1:])
+def test_an_overflowing_degree_keeps_its_message_at_chunk_edges(degree):
+    # gamma = 150 leaves the float range from about n = 6500 on
+    with pytest.raises(InvalidDataError, match="^interior coefficients contain non-finite entries$"):
+        _family(150.0, degree=degree)
 
 
 @pytest.mark.parametrize("z0", [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
@@ -430,3 +465,20 @@ def test_large_growth_reports_are_unchanged(gamma, angle, degree):
     report = build_growth_report(GrowthFamilySpec(cmath.exp(1j * angle), gamma, degree), range(-4, 4))
     digest = hashlib.sha256(formats.canonical_json(report.to_doc()).encode()).hexdigest()
     assert digest == LARGE_REPORT_DIGESTS[gamma, angle, degree]
+
+
+def test_growth_report_memory_is_two_coefficient_arrays(monkeypatch):
+    # The peak is the family's coefficients and their validated copy, with the
+    # copy's finiteness mask; the ratios are formed in chunks into the result.
+    # On one CPU the placement's norm leaves run one at a time and stay below it.
+    monkeypatch.setattr(spectral, "_cpus", lambda: 1)
+    spec = GrowthFamilySpec(cmath.exp(0.3j), 1.5, 2 ** 18)
+    build_growth_report(spec, range(-4, 4))
+    tracemalloc.start()
+    try:
+        build_growth_report(spec, range(-4, 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    result = 16 * (spec.degree + 1)
+    assert peak <= 2 * result + result // 16 + 2 ** 20, peak / result

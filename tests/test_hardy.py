@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,31 @@ def test_jump_identity_and_norm_split_on_the_whole_scale(seed, index, span):
     assert 2 * log2_norm(f) == pytest.approx(
         np.logaddexp2(2 * log2_norm(trace_interior(u)), 2 * log2_norm(trace_exterior(v_plus))),
         rel=1e-13, abs=1e-12)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_jump_residual_memory_is_one_side_at_a_time(monkeypatch):
+    # Besides the split's negated half the residual holds one side buffer and
+    # what one norm of a side takes: its magnitudes and, on one CPU, one
+    # leaf's scratch at a time.
+    monkeypatch.setattr(spectral, "_cpus", lambda: 1)
+    m = 2 ** 18
+    rng = np.random.default_rng(5)
+    f = BoundaryDistribution(-m // 2, rng.standard_normal(m) + 1j * rng.standard_normal(m))
+    side = BoundaryDistribution(0, f.coeffs[m // 2:])
+    norm = _traced_peak(lambda: sobolev_norm(side, 0.0))
+    jump_residual(f)
+    peak = _traced_peak(lambda: jump_residual(f))
+    half = side.coeffs.nbytes
+    assert peak <= half + half + norm + 2 ** 20, (peak - norm) / half
 
 
 def test_jump_residual_on_analyzed_smooth_samples():
