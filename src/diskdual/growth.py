@@ -170,7 +170,8 @@ def estimate_min_sobolev(u: InteriorFunction, s_grid) -> ScaleEstimate:
     _EDGE bars of an integer m (bar <= _BAR_MAX) reads as q = m, level m
     divergent: exact for the family, conservative where a log factor makes
     it converge.  Otherwise a grid level within _SAFE bars of q makes the
-    result ``inconclusive``.  Squares of |a_n| must not overflow.
+    result ``inconclusive``.  Squares of |a_n| must not overflow, and a
+    grid level that is a bool or not a finite integer raises ValueError.
     """
     a = u.coeffs
     if a.size < 64:
@@ -179,7 +180,11 @@ def estimate_min_sobolev(u: InteriorFunction, s_grid) -> ScaleEstimate:
     top = mags.max()
     if not top:
         raise DegenerateInputError("cannot place the zero function on the scale")
-    grid = sorted({int(s) for s in s_grid})
+    grid = list(s_grid)
+    for s in grid:  # int() would truncate 0.5 to 0
+        if isinstance(s, (bool, np.bool_)) or not float(s).is_integer():  # NaN and inf included
+            raise ValueError(f"Sobolev grid level {s} is not an integer")
+    grid = sorted({int(s) for s in grid})
     if not grid:
         raise ValueError("empty Sobolev grid")
     if top > _SQUARE_MAX:

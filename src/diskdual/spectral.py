@@ -14,18 +14,19 @@ n = n_min .. n_max.  Conventions used by the whole package:
 
 The circle is positively (counterclockwise) oriented and i = +sqrt(-1).
 All containers are immutable after construction and every function here is
-pure (the one shared state is a thread pool, started on the first large
-transform, weighted square sum or probe draw), so concurrent use needs no
-locking.  One helper, :func:`_split`, hands work to the pool, at most one
-range per CPU and per aligned block: the row transforms of a Fourier
-transform of at least 2^18 points, straight into its result, and its
-cache-sized column blocks (:func:`_four_step`, which allocates no scratch
-grid), ranges of the leaves of a weighted square sum over a row of more
-than _LEAF weights (:func:`_leaf_sums`) and ranges of the duality suite's
-large probe draws.  A sum is cut only at subtrees of numpy's own pairwise
-summation, whose sums are added back in its order, so the norms' bits are
-the serial ones; a split transform's bits are its own, the same on any
-number of CPUs.
+pure.  Two states are shared, and callers need no lock for either: a pool,
+started on the first large transform, weighted square sum or probe draw, and one
+read-only weight table of at most 2^23 bytes (:data:`_TABLE_BYTES`), left by
+the last leafed norm curve and dropped by any miss.  One helper, :func:`_split`,
+hands work to the pool, at most one range per CPU and per aligned block: the
+row transforms of a Fourier transform of at least 2^18 points, straight into
+its result, and its cache-sized column blocks (:func:`_four_step`, which
+allocates no scratch grid), ranges of the leaves of a weighted square sum
+over a row of more than _LEAF weights (:func:`_leaf_sums`) and ranges of the
+duality suite's large probe draws.  A sum is cut only at subtrees of numpy's
+own pairwise summation, whose sums are added back in its order, so the
+norms' bits are the serial ones; a split transform's bits are its own, the
+same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -358,6 +359,12 @@ _DIRECT_LOG2, _MANTISSA_POW, _INDEX_MAX = 1000.0, 1000.0, 2.0 ** 53
 # numpy's per-call cost more often.  At 2^16 + 1 and 2^18 + 1 weights 2^15
 # was within 3% of the fastest leaf.
 _LEAF = 2 ** 15
+# A leafed row's direct weights np.power(1 + n^2, t) depend only on its
+# window and nonzero indices, so the last such row keeps them: one read-only
+# (levels, size) table while that holds at most _TABLE_BYTES (8 levels up to
+# 2^17 weights).  Any miss drops it before a leaf allocates; index 0,
+# log-domain levels, one-leaf rows and blocks of rows never read or drop it.
+_TABLE_BYTES, _table = 2 ** 23, (None, None)
 _pool, _pool_lock = None, threading.Lock()
 
 
@@ -530,25 +537,38 @@ def _level_sums(mags: np.ndarray, n_min: int, indices) -> list:
 def _leaf_sums(mags: np.ndarray, n_min: int, indices) -> list:
     """[(terms.sum(), exponent)] per direct index of a 1-D row, cut at the leaves of :func:`_pairwise`.
 
-    Ranges of leaves go to :func:`_split`.  Each leaf forms its scaled
-    squares and its 1 + n^2 once, then the power, the product and the
-    leaf's ``.sum()`` of every index in a leaf-sized buffer, and the leaf
-    sums are added in tree order: every bit on any number of CPUs.  A
-    caller that traps underflow gets every leaf on its own thread.
+    Ranges of leaves go to :func:`_split`, each with one leaf-sized buffer
+    for the scaled squares and one for the terms.  A leaf forms its scaled
+    squares once, then each nonzero index's product with its weights (from
+    _table, or on a miss from the leaf's 1 + n^2, stored while they fit) and
+    the leaf's ``.sum()``; leaf sums are added in tree order: every bit on
+    any number of CPUs.  A caller that traps underflow sums every leaf itself.
     """
-    size = mags.size
-    shift = math.frexp(mags.max(initial=0.0))[1]
+    global _table
+    size, shift = mags.size, math.frexp(mags.max(initial=0.0))[1]
     leaves, sums = _pairwise(lambda lo, hi: [(lo, hi)], 0, size, _LEAF), {}
+    powered = [t for t in indices if t]
+    key, (held, table) = (n_min, size, tuple(powered)), _table
+    cold = bool(powered) and held != key
+    if cold:
+        _table = None, None
+        table = np.empty((len(powered), size)) if 8 * size * len(powered) <= _TABLE_BYTES else None
 
     def run(first, last):
+        scaled, terms = np.empty(_LEAF), np.empty(_LEAF if powered else 0)
         for lo, hi in leaves[first:last]:
-            scaled = np.ldexp(mags[lo:hi], -shift)
-            scaled *= scaled
-            base, terms = _weight_base(n_min + lo, hi - lo), np.empty(hi - lo)
-            sums[lo] = np.array([(np.multiply(np.power(base, t, out=terms), scaled, out=terms) if t else scaled).sum()
-                                 for t in indices])
+            squares, out = np.ldexp(mags[lo:hi], -shift, out=scaled[: hi - lo]), terms[: hi - lo]
+            squares *= squares
+            base = _weight_base(n_min + lo, hi - lo) if cold else None
+            rows = [out] * len(powered) if table is None else table[:, lo:hi]
+            level = {t: np.multiply(np.power(base, t, out=row) if cold else row, squares, out=out).sum()
+                     for t, row in zip(powered, rows)}
+            sums[lo] = np.array([level[t] if t else squares.sum() for t in indices])
 
     _split(run, len(leaves))
+    if cold and table is not None:  # published whole, on the calling thread
+        table.flags.writeable = False
+        _table = key, table
     return [(total, 2 * shift) for total in _pairwise(lambda lo, hi: sums[lo], 0, size, _LEAF)]
 
 

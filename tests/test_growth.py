@@ -321,6 +321,26 @@ def test_an_unsafe_margin_is_inconclusive_only_on_the_grid():
     assert estimate_min_sobolev(_family(40.0, degree=512), range(-45, -39)).flag == "entire-side-saturation"
 
 
+@pytest.mark.parametrize("levels, named", [
+    ([0.5, -1.5, True], "0.5"),  # truncated, these read levels -1, 0, 1 and "below-grid"
+    ([-1.5], "-1.5"),
+    ([-2, True], "True"),
+    ([-2, np.True_], "True"),
+    ([-2, float("nan")], "nan"),
+    ([-2, np.inf], "inf"),
+    ([-2, -np.inf], "-inf"),
+    ([-2, 1e-300], "1e-300"),
+])
+def test_a_grid_level_that_is_no_integer_is_refused(levels, named):
+    u = _family(2.5)
+    with pytest.raises(ValueError, match=f"Sobolev grid level {named} is not an integer"):
+        estimate_min_sobolev(u, levels)
+    with pytest.raises(ValueError, match=f"Sobolev grid level {named} is not an integer"):
+        build_growth_report(GrowthFamilySpec(1.0, 2.5, 256), levels)
+    # integral floats and numpy integers are levels
+    assert estimate_min_sobolev(u, [-2.0, np.int64(-1), 0, 1.0]).s_min == -2
+
+
 @pytest.mark.parametrize("size", [256, 4096])
 def test_the_irregular_sequence_is_placed_exactly(size):
     # |a_n|^2 ~ n^-2 times a bounded factor: level 1 diverges, level 0 converges

@@ -251,17 +251,15 @@ def _traced_peak(call):
 def test_jump_residual_memory_is_one_side_at_a_time(monkeypatch):
     # Besides the split's negated half the residual holds one side buffer and
     # what one norm of a side takes: its magnitudes and, on one CPU, one
-    # leaf's scratch at a time.
+    # leaf-sized buffer of scaled squares, reused leaf after leaf.
     monkeypatch.setattr(spectral, "_cpus", lambda: 1)
     m = 2 ** 18
     rng = np.random.default_rng(5)
     f = BoundaryDistribution(-m // 2, rng.standard_normal(m) + 1j * rng.standard_normal(m))
-    side = BoundaryDistribution(0, f.coeffs[m // 2:])
-    norm = _traced_peak(lambda: sobolev_norm(side, 0.0))
     jump_residual(f)
     peak = _traced_peak(lambda: jump_residual(f))
-    half = side.coeffs.nbytes
-    assert peak <= half + half + norm + 2 ** 20, (peak - norm) / half
+    half, magnitudes = 16 * (m // 2), 8 * (m // 2)
+    assert peak <= half + half + magnitudes + 2 ** 20, (peak - magnitudes) / half
 
 
 def test_jump_residual_on_analyzed_smooth_samples():

@@ -1,5 +1,6 @@
 """Coefficient algebra: transforms, norms, pairings, and their estimates."""
 
+import cmath
 import hashlib
 import inspect
 import math
@@ -922,6 +923,167 @@ def test_a_forked_child_sums_levels_on_a_fresh_pool(monkeypatch):
         pytest.fail("the forked child hung on the inherited pool")
     (child_bits, child_exponents), (bits, exponents) = _as_bits(receive.recv()), _as_bits(expected)
     assert child.exitcode == 0 and np.array_equal(child_bits, bits) and child_exponents == exponents
+
+
+def test_a_norm_at_index_zero_holds_one_leaf_buffer_above_its_magnitudes(monkeypatch):
+    # one CPU: the leaves reuse one scaled-squares buffer, and index 0 forms no weights or terms
+    monkeypatch.setattr(spectral, "_cpus", lambda: 1)
+    f = BoundaryDistribution(0, np.random.default_rng(8).standard_normal(2 ** 17))
+    sobolev_norm(f, 0.0)
+    tracemalloc.start()
+    try:
+        sobolev_norm(f, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    magnitudes = 8 * f.coeffs.size
+    assert peak <= magnitudes + 2 ** 19, (peak - magnitudes) / 2 ** 18
+
+
+# ---------------------------------------------------------------- weight table
+# The last leafed row's direct weights are kept in one read-only table, which
+# any miss drops.  Cold, warm and re-cold calls must give the kernel's sums.
+
+_TABLE_SIZES = [2 ** 15 + 1, 2 ** 16 + 1, 3 * 2 ** 15 + 7, 2 ** 17]
+_TABLE_GRIDS = {"one": (2.5,), "two": (-1.5, 0.5), "eight": _LEVEL_GRIDS["default"]}
+
+
+def _kernel_parts(mags, n_min, grid):
+    levels = (spectral._weighted_squares(mags, n_min, t) for t in grid)
+    return [(np.sqrt(terms.sum()).tobytes(), int(e) // 2) for terms, e in levels]
+
+
+def _parts(mags, n_min, grid):
+    return [(root.tobytes(), int(k)) for root, k in spectral._norm_parts(mags, n_min, grid)]
+
+
+@pytest.fixture(scope="module")
+def kernel_parts():
+    cache = {}
+
+    def get(mags, n_min, grid):
+        key = (mags.size, n_min, grid)
+        if key not in cache:
+            cache[key] = _kernel_parts(mags, n_min, grid)
+        return cache[key]
+
+    return get
+
+
+@pytest.mark.parametrize("grid", _TABLE_GRIDS, ids=list(_TABLE_GRIDS))
+@pytest.mark.parametrize("size", _TABLE_SIZES)
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_cold_warm_and_recold_norms_are_the_kernels_bit_for_bit(monkeypatch, kernel_parts, cpus, size, grid):
+    monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
+    monkeypatch.setattr(spectral, "_table", (None, None))
+    grid, mags = _TABLE_GRIDS[grid], _level_row(size)
+    expected, other = kernel_parts(mags, 0, grid), kernel_parts(mags, -3, grid)
+    assert _parts(mags, 0, grid) == expected  # cold: fills the table
+    key, table = spectral._table
+    assert key == (0, size, grid) and table.shape == (len(grid), size)
+    assert _parts(mags, 0, grid) == expected and spectral._table[1] is table  # warm
+    assert _parts(mags, -3, grid) == other and spectral._table[0] == (-3, size, grid)  # another window drops it
+    assert _parts(mags, 0, grid) == expected and spectral._table[1] is not table  # re-cold
+
+
+def test_a_warm_call_forms_no_weight_base(monkeypatch):
+    monkeypatch.setattr(spectral, "_table", (None, None))
+    bases = []
+    weight_base = spectral._weight_base
+    monkeypatch.setattr(spectral, "_weight_base", lambda *args: bases.append(args) or weight_base(*args))
+    mags, grid = _level_row(2 ** 16 + 1), _LEVEL_GRIDS["default"]
+    cold = _parts(mags, 0, grid)
+    leaves = spectral._pairwise(lambda lo, hi: [(lo, hi)], 0, mags.size, spectral._LEAF)
+    assert sorted(bases) == [(lo, hi - lo) for lo, hi in leaves]
+    bases.clear()
+    assert _parts(mags, 0, grid) == cold and bases == []
+
+
+def test_the_published_table_is_read_only(monkeypatch):
+    monkeypatch.setattr(spectral, "_table", (None, None))
+    spectral._norm_parts(_level_row(2 ** 16 + 1), 0, _LEVEL_GRIDS["default"])
+    table = spectral._table[1]
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+
+
+def test_a_row_past_the_table_bound_stores_nothing_and_drops_the_old_entry(monkeypatch, kernel_parts):
+    # 8 levels of 2^17 + 1 weights take 8 * 8 * (2^17 + 1) bytes, one row more than 2^23
+    monkeypatch.setattr(spectral, "_table", (None, None))
+    grid, small, large = _LEVEL_GRIDS["default"], _level_row(2 ** 16 + 1), _level_row(2 ** 17 + 1)
+    assert 8 * large.size * len(grid) > spectral._TABLE_BYTES >= 8 * 2 ** 17 * len(grid)
+    spectral._norm_parts(small, 0, grid)
+    assert spectral._table[0] == (0, small.size, grid)
+    assert _parts(large, 0, grid) == kernel_parts(large, 0, grid)
+    assert spectral._table == (None, None)
+    assert _parts(large, 0, grid) == kernel_parts(large, 0, grid) and spectral._table == (None, None)
+
+
+@pytest.mark.parametrize("mags, grid", [
+    (_level_row(2 ** 17), (0.0,)),  # index 0 on the leaves
+    (_level_row(2 ** 17), (0.0, -0.0)),
+    (_level_row(2 ** 16 + 1), (39.5,)),  # log-domain
+    (_level_row(spectral._LEAF), _LEVEL_GRIDS["default"]),  # one leaf
+    (np.stack([_level_row(2 ** 16 + 1)] * 2), _LEVEL_GRIDS["default"]),  # a block of rows
+], ids=["zero", "signed-zeros", "log-domain", "one-leaf", "block"])
+def test_calls_outside_the_table_neither_read_nor_drop_it(monkeypatch, mags, grid):
+    monkeypatch.setattr(spectral, "_table", (None, None))
+    spectral._norm_parts(_level_row(2 ** 16 + 1), 0, _LEVEL_GRIDS["default"])
+    held = spectral._table
+    # a table filed under the key such a call would have is never read
+    monkeypatch.setattr(spectral, "_table", ((0, mags.shape[-1], tuple(t for t in grid if t)), held[1] * 0.0))
+    poisoned = spectral._table
+    levels = (spectral._weighted_squares(mags, 0, t) for t in grid)
+    expected = [(np.sqrt(terms.sum(axis=-1)).tobytes(), np.asarray(e // 2).tobytes()) for terms, e in levels]
+    parts = spectral._norm_parts(mags, 0, grid)
+    assert [(root.tobytes(), np.asarray(k).tobytes()) for root, k in parts] == expected
+    assert spectral._table is poisoned
+
+
+def test_two_threads_alternating_two_windows_keep_the_serial_bits(kernel_parts):
+    # on the process's own CPUs, hits and misses interleaved as often as the interpreter allows
+    grid, mags = _LEVEL_GRIDS["default"], _level_row(2 ** 16 + 1)
+    windows = [(0, kernel_parts(mags, 0, grid)), (-5, kernel_parts(mags, -5, grid))]
+    wrong, start = [], threading.Barrier(2)
+
+    def call(first):
+        start.wait(60)
+        for i in range(100):  # two calls on each window in turn
+            n_min, expected = windows[(first + i // 2) % 2]
+            if _parts(mags, n_min, grid) != expected:
+                wrong.append((first, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(first,)) for first in (0, 1)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers) and wrong == []
+
+
+# sha256 of the canonical report at 2^16 (within the table's bound), taken before the table existed
+_TABLE_REPORT_DIGEST = "26efb4e3e5b97b8c4626ce80f67cc5ad20c1110a4620802cf9b368c8d0a73ab0"
+
+
+def test_a_growth_report_is_the_same_cold_and_warm(monkeypatch):
+    from diskdual import formats, growth
+
+    monkeypatch.setattr(spectral, "_table", (None, None))
+    spec = growth.GrowthFamilySpec(cmath.exp(0.7j), 1.25, 2 ** 16)
+    digests, tables = [], []
+    for _ in range(2):  # cold, then warm on the table the first report left
+        report = growth.build_growth_report(spec, range(-4, 4))
+        digests.append(hashlib.sha256(formats.canonical_json(report.to_doc()).encode()).hexdigest())
+        key, table = spectral._table
+        assert key == (0, 2 ** 16 + 1, _LEVEL_GRIDS["default"])
+        tables.append(table)
+    assert digests == [_TABLE_REPORT_DIGEST] * 2 and tables[0] is tables[1]
 
 
 # ---------------------------------------------------------------- one handoff
