@@ -26,7 +26,7 @@ from .errors import DegenerateInputError, InvalidDataError, InvalidFamilyError, 
 from .growth import _decay_verdict
 from .hardy import ExteriorFunction, InteriorFunction, hardy_projections, trace_interior
 from .spectral import (BoundaryDistribution, _norm_parts, _require_finite, _scaled, _split, _weighted_squares,
-                       koethe_pairing)
+                       _wrap, koethe_pairing)
 
 __all__ = [
     "DualFunctional",
@@ -196,7 +196,7 @@ def represent_functional(w: BoundaryDistribution, s: int) -> ExteriorFunction:
     apply(functional_from_exterior(v, s), u) == kappa(u|bd, w) for every u.
     """
     _, v_plus = hardy_projections(w, boundary_index=0.5 - _integer_scale(s))
-    return ExteriorFunction(-v_plus.coeffs, v_plus.index)
+    return _wrap(ExteriorFunction, -v_plus.coeffs, index=v_plus.index)
 
 
 def functional_norm_closed_form(functional: DualFunctional) -> float:
@@ -304,13 +304,14 @@ def reconstruct_exterior_from_blackbox(
     returns a scalar and then receives each monomial z^n, trimmed to its
     n + 1 coefficients, one at a time.
     """
+    s = _integer_scale(s)
     if degree_cap < 1:
         raise ValueError("need a positive probe degree")
     values = evaluate(_ProbeBlock(np.ones(1), s, count=degree_cap))
     if np.ndim(values) != 1:
         values = [complex(values)] + [complex(evaluate(InteriorFunction(np.eye(1, n + 1, n)[0], s)))
                                       for n in range(1, degree_cap)]
-    return ExteriorFunction(values, 1 - int(s))
+    return ExteriorFunction(values, 1 - s)
 
 
 def _dual_norm_parts(mags: np.ndarray, s: int) -> list[list]:
@@ -429,11 +430,15 @@ def complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
 
 
 def _draw_trial(child: np.random.SeedSequence, s: int, degree_cap: int):
-    """One trial's inputs in stream order: representative v, boundary data w, probe, brute-force seed."""
+    """One trial's inputs in stream order: representative v, boundary data w, probe, brute-force seed.
+
+    Fresh normal draws are finite and contiguous, so they are wrapped
+    without the constructors' copy and scan, with the fields they would set.
+    """
     rng = np.random.default_rng(child)
-    v = ExteriorFunction(complex_normal(rng, degree_cap), 1 - s)
-    w = BoundaryDistribution(-degree_cap, complex_normal(rng, 2 * degree_cap + 1))
-    probe = InteriorFunction(complex_normal(rng, degree_cap + 4), s)
+    v = _wrap(ExteriorFunction, complex_normal(rng, degree_cap), index=float(1 - s))
+    w = _wrap(BoundaryDistribution, complex_normal(rng, 2 * degree_cap + 1), n_min=-int(degree_cap))
+    probe = _wrap(InteriorFunction, complex_normal(rng, degree_cap + 4), index=float(s))
     return v, w, probe, int(rng.integers(2 ** 32))
 
 

@@ -58,12 +58,13 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 
 def _wrap(cls, coeffs: np.ndarray, **fields):
-    """Container around an array derived from validated containers: no copy, no scan.
+    """Container around an array known to be finite: no copy, no scan.
 
     Public constructors copy and validate the caller's array.  Operations
     whose output cannot become non-finite (padding, slicing, traces,
-    negation, the Hardy split) hand their result here instead; sums,
-    differences and scalings can overflow and come through :func:`_checked`.
+    negation, the Hardy split) and fresh normal draws hand their result here
+    instead; sums, differences and Fourier analysis can overflow and come
+    through :func:`_checked`.
     ``coeffs`` must be a 1-D, C-contiguous complex array that nothing writes
     to after the call; it is made read-only.
     """
@@ -142,7 +143,7 @@ class BoundaryDistribution:
             arr[n - lo] = c
         return cls(lo, arr)
 
-    # Sums and products can overflow; the finiteness scan reports that as
+    # Sums and differences can overflow; the finiteness scan reports that as
     # one InvalidDataError, so numpy's overflow warnings are silenced.
 
     def _combined(self, other: "BoundaryDistribution", op) -> "BoundaryDistribution":
@@ -164,15 +165,6 @@ class BoundaryDistribution:
 
     def __sub__(self, other: "BoundaryDistribution") -> "BoundaryDistribution":
         return self._combined(other, np.subtract)
-
-    def __neg__(self) -> "BoundaryDistribution":
-        return _wrap(BoundaryDistribution, -self.coeffs, n_min=self.n_min)
-
-    def __mul__(self, scalar: complex) -> "BoundaryDistribution":
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _checked(self.n_min, self.coeffs * complex(scalar))
-
-    __rmul__ = __mul__
 
 
 def fourier_analyze(samples) -> BoundaryDistribution:

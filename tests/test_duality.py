@@ -26,6 +26,7 @@ from diskdual import (
     DualFunctional,
     ExteriorFunction,
     InteriorFunction,
+    InvalidDataError,
     InvalidFamilyError,
     QuadratureGrid,
     TruncationError,
@@ -34,6 +35,7 @@ from diskdual import (
     functional_from_exterior,
     functional_norm_bruteforce,
     functional_norm_closed_form,
+    hardy_projections,
     koethe_pairing,
     norm_ratio_bounds,
     pairing_quadrature,
@@ -709,10 +711,26 @@ def test_fractional_scale_index_is_refused():
     v = ExteriorFunction([1.0, 2.0])
     w = BoundaryDistribution.from_modes({-1: 1.0})
     for call in (lambda s: DualFunctional(v, s), lambda s: represent_functional(w, s),
-                 lambda s: verify_duality_isomorphism(s, 1, 8, 1)):
+                 lambda s: verify_duality_isomorphism(s, 1, 8, 1),
+                 lambda s: reconstruct_exterior_from_blackbox(lambda u: 0j, 4, s)):
         with pytest.raises(ValueError, match="scale index must be an integer"):
             call(0.5)
     assert DualFunctional(v, 2.0).s == 2 and isinstance(DualFunctional(v, 2.0).s, int)
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_reconstruction_takes_the_scale_index_its_siblings_take(batched):
+    functional = functional_from_exterior(ExteriorFunction([1.5, -2j, 0.25]), 1)
+    oracle = functional if batched else (lambda u: apply_functional(functional, u))
+    for s in (0.5, float("nan")):
+        with pytest.raises(ValueError, match="scale index must be an integer"):
+            reconstruct_exterior_from_blackbox(oracle, 4, s)
+    with pytest.raises(InvalidDataError, match="exceeds the float range"):
+        reconstruct_exterior_from_blackbox(oracle, 4, 10 ** 400)
+    for s, plain in ((True, 1), (np.int64(2), 2), (2.0, 2)):
+        got, expected = (reconstruct_exterior_from_blackbox(oracle, 4, t) for t in (s, plain))
+        assert got.coeffs.tobytes() == expected.coeffs.tobytes()
+        assert type(got.index) is float and got.index == 1.0 - plain
 
 
 def test_duality_suite_peak_memory_at_a_small_size():
@@ -835,3 +853,74 @@ def test_the_suite_calls_no_numpy_dispatch_wrapper(monkeypatch, s):
     for n, trials in ((32, 16), (256, 8), (1024, 4)):
         verify_duality_isomorphism(s, trials, n, 3)
     assert calls == []
+
+
+# ---------------------------------------------------------------- wrapped draws
+# Each trial's own normal draws, and the representation's negated Hardy half,
+# are wrapped without the constructors' copy and finiteness scan.
+
+@pytest.mark.parametrize("seed", range(8))
+def test_complex_normal_is_real_then_imaginary_draws(seed):
+    for n in range(601):
+        rng, reference = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+        got = duality.complex_normal(rng, n)
+        expected = reference.standard_normal(n) + 1j * reference.standard_normal(n)
+        assert got.dtype == complex and got.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def _same_container(got, built):
+    assert type(got) is type(built)
+    assert got.coeffs.dtype == np.complex128 and got.coeffs.flags.c_contiguous
+    assert not got.coeffs.flags.writeable
+    assert got.coeffs.tobytes() == built.coeffs.tobytes()
+    for name in ("index", "n_min"):
+        if hasattr(built, name):
+            assert type(getattr(got, name)) is type(getattr(built, name))
+            assert getattr(got, name) == getattr(built, name)
+
+
+@pytest.mark.parametrize("s", [-40, 0, 1, 300, 10 ** 300])
+@pytest.mark.parametrize("cap", [1, 2, 33, np.int64(256)])
+def test_a_trial_draw_is_what_the_constructors_build(s, cap):
+    child, = np.random.SeedSequence(s % 1000 + int(cap)).spawn(1)
+    rng = np.random.default_rng(child)
+    built = (ExteriorFunction(duality.complex_normal(rng, cap), 1 - s),
+             BoundaryDistribution(-cap, duality.complex_normal(rng, 2 * cap + 1)),
+             InteriorFunction(duality.complex_normal(rng, cap + 4), s),
+             int(rng.integers(2 ** 32)))
+    drawn = duality._draw_trial(child, s, cap)
+    for got, expected in zip(drawn[:3], built[:3]):
+        _same_container(got, expected)
+    assert drawn[3] == built[3]
+
+
+@pytest.mark.parametrize("n_min, values", [
+    (-3, [1.0, -0.0, 2j, 0.0, -1.5]),
+    (-1, [-0.0]),
+    (-5, [0.0, 0.0, 0.0, 0.0, 0.0, 7.0, 8.0]),
+    (0, [1.0, 2.0]),
+    (2, [1.0]),
+    (-600, np.arange(601) * (1 - 1j) - 300),
+])
+@pytest.mark.parametrize("s", [-3, 0, 5])
+def test_a_representation_is_what_the_constructor_builds(n_min, values, s):
+    w = BoundaryDistribution(n_min, values)
+    _, v_plus = hardy_projections(w, boundary_index=0.5 - s)
+    _same_container(represent_functional(w, s), ExteriorFunction(-v_plus.coeffs, v_plus.index))
+
+
+@pytest.mark.parametrize("n", [32, 256])
+def test_a_suite_trial_validates_at_most_two_containers(monkeypatch, n):
+    # the moment-probe block and the reconstructed representative; one more
+    # for the suite's deliberate zero representative
+    built = []
+    for cls in (InteriorFunction, ExteriorFunction, BoundaryDistribution):
+        def counted(obj, original=cls.__post_init__):
+            built.append(type(obj))
+            original(obj)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for s, trials in ((0, 5), (-3, 40)):
+        built.clear()
+        verify_duality_isomorphism(s, trials, n, 7)
+        assert len(built) <= 2 * trials + 1

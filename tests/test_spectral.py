@@ -276,13 +276,14 @@ def test_pairing_linearity():
             for _ in range(3)
         )
         al = complex(*rng.standard_normal(2))
+        combined = f + BoundaryDistribution(g.n_min, al * g.coeffs)
         # kappa bilinear
-        lhs = koethe_pairing(f + al * g, h)
+        lhs = koethe_pairing(combined, h)
         rhs = koethe_pairing(f, h) + al * koethe_pairing(g, h)
         assert abs(lhs - rhs) < 1e-12
-        assert abs(koethe_pairing(h, f + al * g) - koethe_pairing(h, f) - al * koethe_pairing(h, g)) < 1e-12
+        assert abs(koethe_pairing(h, combined) - koethe_pairing(h, f) - al * koethe_pairing(h, g)) < 1e-12
         # <.,.> conjugate-linear in its second slot
-        lhs = l2_pairing(h, f + al * g)
+        lhs = l2_pairing(h, combined)
         rhs = l2_pairing(h, f) + np.conj(al) * l2_pairing(h, g)
         assert abs(lhs - rhs) < 1e-12
 
@@ -337,11 +338,8 @@ def test_sobolev_norm_rejects_nonfinite_index():
 @pytest.mark.parametrize("compute", [
     lambda: BoundaryDistribution(0, [1e308]) + BoundaryDistribution(0, [1e308]),
     lambda: BoundaryDistribution(0, [1e308]) - BoundaryDistribution(0, [-1e308]),
-    lambda: BoundaryDistribution(0, [1e308]) * 10,
-    lambda: 10 * BoundaryDistribution(0, [1e308]),
-    lambda: BoundaryDistribution(0, [1.0]) * np.inf,
     lambda: fourier_analyze(np.full(4, 1.7e308)),
-], ids=["add", "sub", "mul", "rmul", "mul-inf", "analyze"])
+], ids=["add", "sub", "analyze"])
 def test_overflow_is_one_error_without_warnings(compute):
     with pytest.raises(InvalidDataError, match="non-finite"):
         compute()
@@ -423,7 +421,7 @@ def test_derived_containers_are_read_only_and_contiguous():
         pad_or_truncate(f, -5, 5),
         pad_or_truncate(f, 4, 6),
         pad_or_truncate(f, -3, 3),
-        f + g, f - g, -f, f * 2j, 2j * f,
+        f + g, f - g,
         fourier_analyze(np.arange(8.0)),
     ]
     for h in derived:
