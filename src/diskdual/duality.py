@@ -16,6 +16,7 @@ how trials are scheduled.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -25,8 +26,8 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidDataError, InvalidFamilyError, TruncationError
 from .growth import _decay_verdict
 from .hardy import ExteriorFunction, InteriorFunction, hardy_projections, trace_interior
-from .spectral import (BoundaryDistribution, _norm_parts, _require_finite, _scaled, _split, _weighted_squares,
-                       _wrap, koethe_pairing)
+from .spectral import (BoundaryDistribution, _norm_parts, _require_finite, _scaled, _weighted_squares, _wrap,
+                       koethe_pairing)
 
 __all__ = [
     "DualFunctional",
@@ -76,16 +77,6 @@ _SUITE_ITERATIONS = 8
 # ran slower than one trial at a time.  On a 2-vCPU Xeon with a 2 MB L2,
 # budgets of 1-2 MB ran fastest from N = 32 to 4096; 8 MB ran slower.
 _BLOCK_BYTES = 1 << 20
-# A block of at least two brute-force probe rows of at least this many
-# normals each is drawn on up to one thread per CPU the process may run on
-# (spectral._split), one contiguous range of rows each.  Each row has its own
-# generator and its own slice, and numpy fills it with the GIL released, so
-# every bit is the serial one.  On a 2-CPU Xeon, rows of 8 * 2 * N normals
-# drawn serially, then on two threads, took (medians of 200) 355 -> 767 us
-# for 16 rows at N = 32, 461 -> 433 and 356 -> 389 us for 8 rows at N = 128
-# (2^11 normals a row), 759 -> 513 us for 8 rows at N = 256 (2^12) and
-# 1305 -> 730 us for 4 rows at N = 1024.
-_DRAW_SPLIT_NORMALS = 2 ** 12
 
 
 def _integer_scale(s) -> int:
@@ -95,6 +86,13 @@ def _integer_scale(s) -> int:
     if abs(s) > sys.float_info.max:  # 1/2 - s must be a float
         raise InvalidDataError(f"scale index s={s} exceeds the float range")
     return int(s)
+
+
+def _integer_count(value, name: str) -> int:
+    """A count as an int; a bool, or a value without ``__index__`` (a float among them), raises ValueError."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,15 +235,8 @@ def _bruteforce_rows(b: np.ndarray, mags: np.ndarray, s: int, degree_cap: int, i
     # (iterations, 2, cap) per row consumes its stream in the order of one
     # real and one imaginary draw per probe.
     draws = np.empty((count, iterations, 2, degree_cap))
-
-    def draw(lo, hi):
-        for index in range(lo, hi):
-            np.random.default_rng(seeds[index]).standard_normal(out=draws[index])
-
-    if draws[0].size >= _DRAW_SPLIT_NORMALS:
-        _split(draw, count)
-    else:
-        draw(0, count)
+    for row, seed in zip(draws, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
     probes[:, 1:].real = draws[:, :, 0]
     probes[:, 1:].imag = draws[:, :, 1]
     del draws  # freed before the probes are normed, where the peak lies
@@ -277,6 +268,7 @@ def functional_norm_bruteforce(
     :func:`~diskdual.spectral.sobolev_norm`, times 2^e, wherever that
     computation stays inside the float range.
     """
+    degree_cap, iterations = _integer_count(degree_cap, "degree_cap"), _integer_count(iterations, "iterations")
     if iterations < 1:
         raise ValueError("need at least one probe iteration")
     support = functional.v.coeffs.size
@@ -304,7 +296,7 @@ def reconstruct_exterior_from_blackbox(
     returns a scalar and then receives each monomial z^n, trimmed to its
     n + 1 coefficients, one at a time.
     """
-    s = _integer_scale(s)
+    s, degree_cap = _integer_scale(s), _integer_count(degree_cap, "degree_cap")
     if degree_cap < 1:
         raise ValueError("need a positive probe degree")
     values = evaluate(_ProbeBlock(np.ones(1), s, count=degree_cap))
@@ -458,6 +450,7 @@ def verify_duality_isomorphism(s: int, trials: int, degree_cap: int, seed: int) 
     probes take one kernel pass each, while the library calls under test
     run per trial.  The report is bit-identical to a trial-by-trial run.
     """
+    trials, degree_cap = _integer_count(trials, "trials"), _integer_count(degree_cap, "degree_cap")
     if not 1 <= trials <= sys.maxsize:  # SeedSequence.spawn counts its children in a C ssize_t
         raise ValueError(f"need 1 .. {sys.maxsize} trials, got {trials}")
     if degree_cap < 1:
@@ -564,6 +557,7 @@ def verify_scale_pairing(direction: str, size: int, seed: int) -> VerificationRe
     """
     if direction not in SCALE_DIRECTIONS:
         raise ValueError(f"direction must be one of {SCALE_DIRECTIONS}, got {direction!r}")
+    size = _integer_count(size, "size")
     if size < _SCALE_MIN_SIZE:
         raise ValueError(f"need size >= {_SCALE_MIN_SIZE}: below it the managed families' "
                          "second-half window share can exceed its 1e-6 bound")

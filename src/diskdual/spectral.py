@@ -15,18 +15,17 @@ n = n_min .. n_max.  Conventions used by the whole package:
 The circle is positively (counterclockwise) oriented and i = +sqrt(-1).
 All containers are immutable after construction and every function here is
 pure.  Two states are shared, and callers need no lock for either: a pool,
-started on the first large transform, weighted square sum or probe draw, and one
+started on the first large transform or weighted square sum, and one
 read-only weight table of at most 2^23 bytes (:data:`_TABLE_BYTES`), left by
 the last leafed norm curve and dropped by any miss.  One helper, :func:`_split`,
 hands work to the pool, at most one range per CPU and per aligned block: the
 row transforms of a Fourier transform of at least 2^18 points, straight into
 its result, and its cache-sized column blocks (:func:`_four_step`, which
-allocates no scratch grid), ranges of the leaves of a weighted square sum
-over a row of more than _LEAF weights (:func:`_leaf_sums`) and ranges of the
-duality suite's large probe draws.  A sum is cut only at subtrees of numpy's
-own pairwise summation, whose sums are added back in its order, so the
-norms' bits are the serial ones; a split transform's bits are its own, the
-same on any number of CPUs.
+allocates no scratch grid), and ranges of the leaves of a weighted square
+sum over a row of more than _LEAF weights (:func:`_leaf_sums`).  A sum is
+cut only at subtrees of numpy's own pairwise summation, whose sums are added
+back in its order, so the norms' bits are the serial ones; a split
+transform's bits are its own, the same on any number of CPUs.
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -718,6 +717,30 @@ def test_fractional_scale_index_is_refused():
     assert DualFunctional(v, 2.0).s == 2 and isinstance(DualFunctional(v, 2.0).s, int)
 
 
+def _report_bytes(report):
+    return formats.canonical_json(report.to_doc()).encode()
+
+
+_FUNCTIONAL = functional_from_exterior(ExteriorFunction([1.5, -2j, 0.25]), 1)
+# (count, a valid value, the call with that count replaced, the result's bytes) for every count taken
+_COUNTS = [
+    ("trials", 2, lambda c: verify_duality_isomorphism(0, c, 8, 1), _report_bytes),
+    ("degree_cap", 8, lambda c: verify_duality_isomorphism(0, 2, c, 1), _report_bytes),
+    ("degree_cap", 8, lambda c: reconstruct_exterior_from_blackbox(_FUNCTIONAL, c, 1), lambda v: v.coeffs.tobytes()),
+    ("degree_cap", 8, lambda c: functional_norm_bruteforce(_FUNCTIONAL, c, 2, 1), float.hex),
+    ("iterations", 3, lambda c: functional_norm_bruteforce(_FUNCTIONAL, 8, c, 1), float.hex),
+    ("size", 64, lambda c: verify_scale_pairing("interior-finite-order", c, 1), _report_bytes),
+]
+
+
+@pytest.mark.parametrize("name, good, call, as_bytes", _COUNTS)
+def test_every_count_is_an_integer(name, good, call, as_bytes):
+    for bad in (float(good), good + 0.5, True, np.bool_(True), str(good), None):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call(bad)
+    assert as_bytes(call(np.int64(good))) == as_bytes(call(good))
+
+
 @pytest.mark.parametrize("batched", [True, False])
 def test_reconstruction_takes_the_scale_index_its_siblings_take(batched):
     functional = functional_from_exterior(ExteriorFunction([1.5, -2j, 0.25]), 1)
@@ -747,55 +770,44 @@ def test_duality_suite_peak_memory_at_a_small_size():
     assert peak < 1.95e6
 
 
-# ---------------------------------------------------------------- split draws
-# A block of at least two brute-force probe rows of at least
-# duality._DRAW_SPLIT_NORMALS normals each is drawn on spectral's pool.  Every
-# row has its own generator and slice, so its bits are the serial ones.
+# ---------------------------------------------------------------- probe draws
+# Every brute-force probe row is drawn on the calling thread, from its own
+# generator into its own slice.
 
-def _drawn_rows(monkeypatch, cpus, rows, n):
-    """(results, probe block, whether the pool was asked for) of one _bruteforce_rows call."""
-    rng = np.random.default_rng(n + rows)
-    b = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-    seeds = [int(seed) for seed in rng.integers(2 ** 32, size=rows)]
-    seen, asked = [], []
-    require_finite, split_pool = duality._require_finite, spectral._split_pool
-    monkeypatch.setattr(spectral, "_cpus", lambda: cpus)
+def _drawn_rows(monkeypatch, b, seeds):
+    """_bruteforce_rows of the representatives b, each probe row checked against a fresh generator of its seed."""
+    seen, n = [], b.shape[1]
     monkeypatch.setattr(duality, "_require_finite", lambda values, what: (
-        seen.append(values.copy()), require_finite(values, what)))
-    monkeypatch.setattr(spectral, "_split_pool", lambda count: (asked.append(count), split_pool(count))[1])
+        seen.append(values.copy()), spectral._require_finite(values, what)))
     best = duality._bruteforce_rows(b, np.abs(b), 1, n, duality._SUITE_ITERATIONS, seeds,
                                     duality._maximizer_weights(1, n))
     (probes,) = seen
     for row, seed in zip(probes, seeds):  # the draws against fresh generators
         draws = np.random.default_rng(seed).standard_normal((duality._SUITE_ITERATIONS, 2, n))
         assert np.array_equal(row[1:].real, draws[:, 0]) and np.array_equal(row[1:].imag, draws[:, 1])
-    return best, probes, bool(asked)
+    return best
 
 
 @pytest.mark.parametrize("n", [255, 256, 1024, 4096])
 @pytest.mark.parametrize("rows", [1, 2, 3, 5])
-def test_split_probe_draws_are_the_serial_draws_bit_for_bit(monkeypatch, rows, n):
-    split_best, split_probes, split = _drawn_rows(monkeypatch, 4, rows, n)
-    serial_best, serial_probes, serial = _drawn_rows(monkeypatch, 1, rows, n)
-    assert split == (rows >= 2 and duality._SUITE_ITERATIONS * 2 * n >= duality._DRAW_SPLIT_NORMALS)
-    assert not serial
-    assert np.array_equal(split_probes.view(np.int64), serial_probes.view(np.int64))
-    assert [value.hex() for value in split_best] == [value.hex() for value in serial_best]
+def test_each_probe_row_is_its_own_generators_draws(monkeypatch, rows, n):
+    rng = np.random.default_rng(n + rows)
+    b = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    seeds = [int(seed) for seed in rng.integers(2 ** 32, size=rows)]
+    best = _drawn_rows(monkeypatch, b, seeds)
+    alone = [value for k in range(rows) for value in _drawn_rows(monkeypatch, b[k:k + 1], seeds[k:k + 1])]
+    assert [value.hex() for value in best] == [value.hex() for value in alone]
 
 
-def test_a_split_suite_report_is_the_serial_report(monkeypatch):
-    # N = 1024 and 7 trials are one block of 7 rows of 2^14 normals
-    monkeypatch.setattr(spectral, "_cpus", lambda: 4)
-    split = _suite_bytes(0, 1024, 7, 9)
-    monkeypatch.setattr(spectral, "_cpus", lambda: 1)
-    assert split == _suite_bytes(0, 1024, 7, 9)
-
-
-def test_a_small_suite_starts_no_pool(monkeypatch):
-    monkeypatch.setattr(spectral, "_cpus", lambda: 4)
+@pytest.mark.parametrize("n, trials", [(32, 100), (256, 8), (1024, 7)])
+def test_the_suite_starts_no_pool_and_no_thread(monkeypatch, n, trials):
+    # at N = 256 and 1024 the trials are one block of rows of 2^12 and 2^14 normals
     monkeypatch.setattr(spectral, "_pool", None)
+    monkeypatch.setattr(spectral, "_cpus", lambda: 1)
+    serial = _suite_bytes(0, n, trials, 9)
+    monkeypatch.setattr(spectral, "_cpus", lambda: 4)
     threads = threading.active_count()
-    verify_duality_isomorphism(0, 100, 32, 7)
+    assert _suite_bytes(0, n, trials, 9) == serial
     assert spectral._pool is None and threading.active_count() == threads
 
 
@@ -809,27 +821,6 @@ def test_the_cli_suite_at_n_32_imports_no_thread_pool():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
     assert (proc.returncode, proc.stdout) == (0, "0 False False 1\n"), proc.stderr
-
-
-def _send_suite(conn):
-    conn.send(_suite_bytes(0, 1024, 4, 5))
-    conn.close()
-
-
-def test_a_forked_child_draws_on_a_fresh_pool(monkeypatch):
-    monkeypatch.setattr(spectral, "_cpus", lambda: 2)
-    monkeypatch.setattr(spectral, "_pool", None)
-    expected = _suite_bytes(0, 1024, 4, 5)
-    assert spectral._pool is not None
-    ctx = multiprocessing.get_context("fork")
-    receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_suite, args=(send,))
-    child.start()
-    child.join(60)
-    if child.is_alive():
-        child.kill()
-        pytest.fail("the forked child hung on the inherited pool")
-    assert child.exitcode == 0 and receive.recv() == expected
 
 
 # The suite's trial loop calls array methods, not numpy's module-level

@@ -1085,7 +1085,8 @@ def test_a_growth_report_is_the_same_cold_and_warm(monkeypatch):
 
 
 # ---------------------------------------------------------------- one handoff
-# Leaves, transform passes and probe draws reach the pool through spectral._split alone.
+# Norm leaves and transform passes reach the pool through spectral._split alone;
+# duality draws its probe rows on the calling thread.
 
 def test_every_pool_job_is_submitted_by_the_one_helper(monkeypatch):
     from diskdual import duality, growth
@@ -1108,13 +1109,13 @@ def test_every_pool_job_is_submitted_by_the_one_helper(monkeypatch):
     u = growth.growth_family_coeffs(growth.GrowthFamilySpec(1.0, 1.25, 2 ** 16))
     for call in (lambda: sobolev_norm(BoundaryDistribution(0, np.ones(2 ** 18)), 1.5),  # one norm's leaves
                  lambda: growth.estimate_min_sobolev(u, range(-4, 4)),  # levels
-                 lambda: duality.verify_duality_isomorphism(0, 7, 1024, 9)):  # probe draws
+                 lambda: fourier_analyze(np.ones(2 ** 18))):  # a four-step's rows and columns
         before = len(submitters)
         call()
         assert len(submitters) > before
     assert set(submitters) == {("diskdual.spectral", "_split")}
     source = inspect.getsource(duality)
-    assert "_split_pool" not in source and "_cpus" not in source
+    assert "_split" not in source and "_cpus" not in source
 
 
 # ---------------------------------------------------------------- the whole scale
