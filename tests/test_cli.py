@@ -323,6 +323,21 @@ def test_pairing_overflow_is_one_line_without_warnings(huge_file, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("numerical validity error: document holds a non-finite number")
 
 
+# every coefficient is finite, but 4096 of them near 1e308 sum past the float range
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("container, point", [
+    (InteriorFunction, "0.999,0"),
+    (ExteriorFunction, "-1.001,0"),
+], ids=["interior", "exterior"])
+def test_cauchy_overflow_is_one_line_naming_the_point(tmp_path, container, point):
+    path = tmp_path / "big.json"
+    write_coefficient_file(path, container(np.full(4096, 1e308)))
+    code, out, lines, caught = _run_quietly(["cauchy", "--in", str(path), f"--at={point}"])
+    assert (code, out, caught) == (3, "", [])
+    assert lines == [f"numerical validity error: the Cauchy transform at {[float(x) for x in point.split(',')]} "
+                     "is not finite: (nan+nanj)"]
+
+
 @pytest.mark.parametrize("curve", ["circle:nan", "ellipse:inf,1"])
 def test_non_finite_curve_parameters_are_refused_in_one_line(u_file, v_file, curve):
     code, out, lines, caught = _run_quietly(["pair", "--u", u_file, "--v", v_file, "--curve", curve])

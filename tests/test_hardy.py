@@ -291,6 +291,25 @@ def test_evaluation_domain_errors():
         evaluate_exterior(ExteriorFunction([1.0]), 0.5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: evaluate_interior(InteriorFunction([1.0, 2.0]), math.nan),
+    lambda: evaluate_interior(InteriorFunction([1.0, 2.0]), complex(math.nan, 0.5)),
+    lambda: evaluate_exterior(ExteriorFunction([1.0, 2.0]), math.nan),
+    lambda: evaluate_exterior(ExteriorFunction([1.0, 2.0]), complex(math.inf, math.nan)),
+    lambda: cauchy_transform(BoundaryDistribution(-2, [1.0, 2.0, 3.0]), math.nan),
+    lambda: cauchy_transform(BoundaryDistribution(0, [1.0]), complex(math.nan, math.inf)),
+], ids=["interior", "interior-real-nan", "exterior", "exterior-inf-nan", "cauchy", "cauchy-no-exterior-side"])
+def test_nan_points_are_refused(call):
+    # every domain check is negated or tests z != z, since NaN fails any comparison
+    with pytest.raises(EvaluationDomainError, match="nan"):
+        call()
+
+
+def test_values_at_infinity_are_kept():
+    assert evaluate_exterior(ExteriorFunction([3.0, 4.0]), math.inf) == 0
+    assert cauchy_transform(BoundaryDistribution(-2, [1.0, 2.0, 3.0]), -math.inf) == 0
+
+
 def test_exterior_values_vanish_at_infinity():
     v = ExteriorFunction([3.0, 4.0])
     assert abs(evaluate_exterior(v, 1e8)) < 1e-7
@@ -357,6 +376,124 @@ def test_cauchy_transform_branches_match_polyval():
     z = 1.001 * cmath.exp(-2.5j)
     w = 1.0 / z
     _assert_matches_polyval(-cauchy_transform(f, z) / w, lower, w)
+
+
+# The evaluator skips the blocks whose weight w^k (w = z^B) is exactly 0.
+# Against today's untruncated loop, copied here, every bit of the value must
+# hold, on every BLAS kernel, for sizes of one, two and three levels.
+
+
+def _untruncated_series(c, z):
+    c = np.ascontiguousarray(c)
+    while c.size > 1:
+        width = min(c.size, _B)
+        powers = np.empty(width, dtype=complex)
+        powers.fill(z)
+        powers[0] = 1.0
+        powers.cumprod(out=powers)
+        full = c.size - c.size % width
+        sums = c[:full].reshape(-1, width) @ powers
+        if full < c.size:
+            sums = np.concatenate((sums, [c[full:] @ powers[: c.size - full]]))
+        c, z = sums, powers[-1] * z
+    return complex(c[0])
+
+
+def _first_zero_weight(z):
+    """First k with w^k exactly 0 as the evaluator forms it, or None below k = B."""
+    weights = hardy._powers(hardy._powers(z, _B)[-1] * z, _B)
+    zeros = np.flatnonzero(weights == 0)
+    return int(zeros[0]) if zeros.size else None
+
+
+# (|z|, arg z) whose first zero weight falls at the block named; the block
+# near B moves with the angle, so the angle is part of the name
+_FIRST_ZERO = {1: (0.4, 0.7), 2: (0.6, -1.2), 3: (0.75, 2.5), 1023: (0.999289, 0.7), None: (1 - 1e-6, 0.3)}
+
+
+def test_named_radii_put_the_first_zero_weight_where_named():
+    for block, (radius, angle) in _FIRST_ZERO.items():
+        assert _first_zero_weight(radius * cmath.exp(1j * angle)) == block
+
+
+def _patterned(size, seed, pattern):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    if pattern == "zero-heavy":    # mostly zeros, some of them -0.0
+        c[rng.random(size) < 0.95] = 0.0
+        c[rng.random(size) < 0.05] = complex(-0.0, -0.0)
+    elif pattern == "sign-flipped":   # one magnitude, sign flipped block by block, so block sums cancel
+        c = np.abs(c.real) * np.where(np.arange(size) // _B % 2, -1.0, 1.0) - 1j * np.abs(c.imag)
+    elif pattern == "scaled":
+        c *= 10.0 ** rng.integers(-300, 301, size)
+    return c
+
+
+def _bits(value):
+    return np.complex128(value).tobytes()
+
+
+@settings(deadline=None)
+@given(
+    size=st.integers(1, 4 * _B + 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+    radius=st.one_of(st.floats(0.0, 1.0 - 1e-6), st.sampled_from([r for r, _ in _FIRST_ZERO.values()])),
+    angle=st.floats(-np.pi, np.pi),
+    pattern=st.sampled_from(["normal", "zero-heavy", "sign-flipped", "scaled"]),
+    side=st.sampled_from(["interior", "exterior", "cauchy-interior", "cauchy-exterior"]),
+)
+@example(size=2, seed=1, radius=_FIRST_ZERO[None][0], angle=_FIRST_ZERO[None][1], pattern="normal",
+         side="interior")
+@example(size=_B + 1, seed=2, radius=_FIRST_ZERO[1][0], angle=_FIRST_ZERO[1][1], pattern="zero-heavy",
+         side="interior")
+@example(size=2 * _B + 1, seed=3, radius=_FIRST_ZERO[2][0], angle=_FIRST_ZERO[2][1], pattern="sign-flipped",
+         side="exterior")
+@example(size=3 * _B + 7, seed=4, radius=_FIRST_ZERO[3][0], angle=_FIRST_ZERO[3][1], pattern="scaled",
+         side="cauchy-exterior")
+@example(size=3 * _B + 7, seed=5, radius=_FIRST_ZERO[2][0], angle=_FIRST_ZERO[2][1], pattern="zero-heavy",
+         side="cauchy-interior")
+@example(size=2 ** 20 + 1, seed=6, radius=_FIRST_ZERO[1023][0], angle=_FIRST_ZERO[1023][1],
+         pattern="sign-flipped", side="interior")
+@example(size=2 ** 20 + 1, seed=7, radius=1 - 2 ** -7, angle=0.0, pattern="normal", side="cauchy-exterior")
+@example(size=2 ** 20 + 1025, seed=8, radius=_FIRST_ZERO[1023][0], angle=_FIRST_ZERO[1023][1],
+         pattern="zero-heavy", side="exterior")
+@example(size=2 ** 20 + 1025, seed=9, radius=_FIRST_ZERO[None][0], angle=_FIRST_ZERO[None][1],
+         pattern="normal", side="cauchy-interior")
+# two full rows at the second level: a second level cut at the first zero
+# weight would be one dot product instead of their matrix-vector product
+@example(size=2 ** 21 + 1, seed=1, radius=_FIRST_ZERO[1023][0], angle=_FIRST_ZERO[1023][1], pattern="normal",
+         side="interior")
+def test_series_skipping_zero_weights_keeps_every_bit(size, seed, radius, angle, pattern, side):
+    c = _patterned(size, seed, pattern)
+    z = radius * cmath.exp(1j * angle)
+    if side in ("interior", "cauchy-interior"):
+        want = _untruncated_series(c, z)
+        got = (evaluate_interior(InteriorFunction(c), z) if side == "interior"
+               else cauchy_transform(BoundaryDistribution(0, c), z))
+    else:
+        # the point outside is 1/z, and the series runs in w = 1/(1/z) as the evaluators form it
+        outside = 1.0 / z if z else complex(math.inf)
+        w = 1.0 / outside
+        if side == "exterior":
+            want, got = complex(w * _untruncated_series(c, w)), evaluate_exterior(ExteriorFunction(c), outside)
+        else:
+            want = complex(-w * _untruncated_series(c, w))
+            got = cauchy_transform(BoundaryDistribution(-size, c[::-1]), outside)
+    assert _bits(got) == _bits(want)
+
+
+def test_a_dropped_overflowing_block_no_longer_reads_nan():
+    # The one intended difference: a block that is not read, past the first
+    # zero weight (here w itself) and past the two rows always read, whose sum
+    # overflows.  Untruncated, inf * 0 turns the value into NaN; skipped, the
+    # block adds nothing.
+    radius, angle = _FIRST_ZERO[1]
+    z = radius * cmath.exp(1j * angle)
+    c = np.zeros(3 * _B + 1, dtype=complex)
+    c[0], c[2 * _B:3 * _B] = 1.0, 1.5e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cmath.isnan(_untruncated_series(c, z))
+    assert evaluate_interior(InteriorFunction(c), z) == 1.0
 
 
 # ---------------------------------------------------------------- orthogonality
