@@ -179,6 +179,7 @@ def cauchy_transform(f: BoundaryDistribution, z: complex) -> complex:
         return 0j
     lower = pad_or_truncate(f, f.n_min, -1).coeffs
     w = 1.0 / z
+    w = w if w == w else 0j  # NaN where both parts of z are infinite; 1/z tends to 0 there
     return complex(-w * _series(lower[::-1], w))
 
 
@@ -251,4 +252,5 @@ def evaluate_exterior(v: ExteriorFunction, z: complex) -> complex:
     if v.coeffs.size == 0:
         return 0j
     w = 1.0 / z
+    w = w if w == w else 0j  # NaN where both parts of z are infinite; 1/z tends to 0 there
     return complex(w * _series(v.coeffs, w))

@@ -280,15 +280,6 @@ def _fold(f: BoundaryDistribution, rows: np.ndarray, first: int, step: int) -> n
 # takes the row length by Bluestein's algorithm); smaller transforms, the
 # pinned round trip's 2^17-point synthesis among them, keep numpy's bits.
 _FFT_SPLIT, _FFT_ROWS, _FFT_BLOCK_BYTES = 2 ** 18, 2 ** 9, 2 ** 19
-_FFT_OUT = int(np.__version__.split(".")[0]) >= 2
-
-
-def _fft_into(transform, a: np.ndarray, out: np.ndarray, axis: int) -> None:
-    """out = transform(a, norm="forward") along ``axis``: the forward transform over its length, the inverse unscaled."""
-    if _FFT_OUT:
-        transform(a, axis=axis, norm="forward", out=out)
-    else:  # numpy 1.x has no ``out``
-        out[...] = transform(a, axis=axis, norm="forward")
 
 
 def _four_step(rows_of, out: np.ndarray, sign: int, shift: int) -> None:
@@ -318,7 +309,7 @@ def _four_step(rows_of, out: np.ndarray, sign: int, shift: int) -> None:
 
     def rows(lo, hi):
         with np.errstate(over="ignore", invalid="ignore"):
-            _fft_into(transform, rows_of(table[lo:hi], lo, r), table[lo:hi], 1)
+            transform(rows_of(table[lo:hi], lo, r), axis=1, norm="forward", out=table[lo:hi])
 
     def columns(lo, hi):
         buf = np.empty((r, w), dtype=complex)
@@ -329,7 +320,7 @@ def _four_step(rows_of, out: np.ndarray, sign: int, shift: int) -> None:
                 np.multiply(block[1:], inner[:, : z.shape[1]], out=z[1:])  # row 0's factors are all 1
                 z[1:] *= factors([kb - shift])
                 z[0] = block[0]
-                _fft_into(transform, z, block, 0)
+                transform(z, axis=0, norm="forward", out=block)
 
     _split(rows, r)
     _split(columns, c, w)

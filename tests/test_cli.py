@@ -3,16 +3,15 @@
 import io
 import json
 import math
-import os
 import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import child_env
 from diskdual import BoundaryDistribution, ExteriorFunction, InteriorFunction
 from diskdual.cli import run
 from diskdual.duality import CheckResult, VerificationReport
@@ -346,12 +345,10 @@ def test_non_finite_curve_parameters_are_refused_in_one_line(u_file, v_file, cur
 
 
 def test_module_entry_point_runs_the_cli():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "diskdual.cli", "verify", "--suite", "duality", "--s", "0",
          "--trials", "4", "--N", "32", "--seed", "1"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["passed"] is True
@@ -471,10 +468,8 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def _peak_rss_kb(argv):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_LAUNCHER, *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=child_env(), timeout=120)
     code, peak = map(int, proc.stdout.split())
     assert code == 0, proc.stderr
     return peak

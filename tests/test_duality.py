@@ -2,12 +2,10 @@
 
 import hashlib
 import math
-import os
 import subprocess
 import sys
 import threading
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import child_env
 from diskdual import duality, formats, spectral
 
 from diskdual import (
@@ -817,9 +816,7 @@ def test_the_cli_suite_at_n_32_imports_no_thread_pool():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = diskdual.cli.run(['verify', '--suite', 'duality', '--N', '32', '--seed', '7'])\n"
             "print(code, imported, 'concurrent.futures' in sys.modules, threading.active_count())")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=child_env())
     assert (proc.returncode, proc.stdout) == (0, "0 False False 1\n"), proc.stderr
 
 

@@ -3,18 +3,17 @@
 import cmath
 import hashlib
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import binom, poch
 from scipy.special import gamma as gamma_fn
 
+from conftest import child_env
 from diskdual import (
     DegenerateInputError,
     GrowthFamilySpec,
@@ -212,9 +211,7 @@ def test_the_cli_growth_report_at_n_4096_imports_no_thread_pool():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = diskdual.cli.run(['growth', '--gamma', '2', '--N', '4096'])\n"
             "print(code, 'concurrent.futures' in sys.modules, threading.active_count())")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=child_env())
     assert (proc.returncode, proc.stdout) == (0, "0 False 1\n"), proc.stderr
 
 

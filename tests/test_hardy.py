@@ -310,6 +310,14 @@ def test_values_at_infinity_are_kept():
     assert cauchy_transform(BoundaryDistribution(-2, [1.0, 2.0, 3.0]), -math.inf) == 0
 
 
+@pytest.mark.parametrize("re, im", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_values_at_the_diagonal_infinities_are_zero(re, im):
+    # Python's 1/z is NaN when both parts of z are infinite
+    z = complex(re * math.inf, im * math.inf)
+    assert evaluate_exterior(ExteriorFunction([1.0, 2.0]), z) == 0
+    assert cauchy_transform(BoundaryDistribution(-2, [1.0, 2.0, 3.0]), z) == 0
+
+
 def test_exterior_values_vanish_at_infinity():
     v = ExteriorFunction([3.0, 4.0])
     assert abs(evaluate_exterior(v, 1e8)) < 1e-7
@@ -471,9 +479,11 @@ def test_series_skipping_zero_weights_keeps_every_bit(size, seed, radius, angle,
         got = (evaluate_interior(InteriorFunction(c), z) if side == "interior"
                else cauchy_transform(BoundaryDistribution(0, c), z))
     else:
-        # the point outside is 1/z, and the series runs in w = 1/(1/z) as the evaluators form it
+        # the point outside is 1/z, and the series runs in w = 1/(1/z) as the evaluators form it,
+        # 0 where a subnormal z makes both parts of 1/z infinite
         outside = 1.0 / z if z else complex(math.inf)
         w = 1.0 / outside
+        w = w if w == w else 0j
         if side == "exterior":
             want, got = complex(w * _untruncated_series(c, w)), evaluate_exterior(ExteriorFunction(c), outside)
         else:

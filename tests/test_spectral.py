@@ -5,7 +5,6 @@ import hashlib
 import inspect
 import math
 import multiprocessing
-import os
 import subprocess
 import sys
 import threading
@@ -13,13 +12,13 @@ import time
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import child_env
 from diskdual import (
     AliasingError,
     BoundaryDistribution,
@@ -606,14 +605,12 @@ def test_split_passes_are_the_serial_expression_bit_for_bit(size, t, rows):
     assert _split_matches_serial(size, t, rows)
 
 
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
 _NO_AVX512 = "AVX512F AVX512CD AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR X86_V4"
 
 
 def _python(code, **env):
-    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
-                          env=dict(os.environ, PYTHONPATH=path, **env))
+                          env=child_env(**env))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -1081,7 +1078,9 @@ def test_a_growth_report_is_the_same_cold_and_warm(monkeypatch):
         key, table = spectral._table
         assert key == (0, 2 ** 16 + 1, _LEVEL_GRIDS["default"])
         tables.append(table)
-    assert digests == [_TABLE_REPORT_DIGEST] * 2 and tables[0] is tables[1]
+    assert digests[0] == digests[1]
+    assert tables[0] is tables[1]
+    assert digests[0] == _TABLE_REPORT_DIGEST
 
 
 # ---------------------------------------------------------------- one handoff
@@ -1258,13 +1257,6 @@ def test_split_transforms_are_the_same_bytes_on_any_number_of_cpus(monkeypatch, 
         assert _split_transform_bytes(m) == real, cpus
 
 
-def test_split_transforms_without_numpys_out_argument_are_the_same_bytes(monkeypatch):
-    # numpy 1.x takes no ``out``; its fallback copies each half into the buffer
-    expected = _split_transform_bytes(_FFT_SPLIT)
-    monkeypatch.setattr(spectral, "_FFT_OUT", False)
-    assert _split_transform_bytes(_FFT_SPLIT) == expected
-
-
 @pytest.mark.parametrize("m", [_FFT_SPLIT - 2, _FFT_SPLIT + 1])
 def test_transforms_that_are_not_split_keep_numpys_bits(m):
     # below the threshold, and an odd synthesis grid, which has no halves
@@ -1404,7 +1396,6 @@ def test_four_step_is_byte_identical_to_the_golden_digest(m):
     assert hashlib.sha256(_split_transform_bytes(m)).hexdigest() == FOUR_STEP_GOLDEN[m]
 
 
-@pytest.mark.skipif(not spectral._FFT_OUT, reason="numpy 1.x has no out=: each transform fills a fresh array")
 @pytest.mark.parametrize("m", [2 ** 20, _FFT_SPLIT + 2])
 def test_four_step_allocates_no_grid_beside_its_result(monkeypatch, m):
     # analysis of M points peaks at its M + 1 coefficients, synthesis on 2M,
